@@ -148,10 +148,13 @@ run_detlint() {
 
 run_tsan() {
   # The suites that exercise shared mutable state: the work-stealing
-  # pool, the serving layer, the race stress battery, and the simmpi
-  # rank threads. The numeric kernels are data-parallel over disjoint
-  # ranges and add nothing but wall time here.
-  local TSAN_TESTS=(parallel_test serve_test race_stress_test simmpi_test)
+  # pool, the serving layer, the race stress battery, the simmpi rank
+  # threads, and the pooled surface loops (surface_test runs a pooled
+  # cold call; celllist_misc_test a pooled PoseScorer). The numeric
+  # kernels are data-parallel over disjoint ranges and add nothing but
+  # wall time here.
+  local TSAN_TESTS=(parallel_test serve_test race_stress_test simmpi_test
+                    surface_test celllist_misc_test)
   echo "==> tsan: ThreadSanitizer build of concurrency tests"
   cmake -B build-tsan -S . -DOCTGB_TSAN=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

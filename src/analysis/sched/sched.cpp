@@ -312,7 +312,8 @@ void leave_locked(Ctl& c, int id) {
     Rec& r = *c.recs[static_cast<std::size_t>(id)];
     if (r.st != St::kLeft) {
       r.st = St::kLeft;
-      --c.live;
+      // Below zero, disarm() would wait for live == 0 forever.
+      if (--c.live < 0) fatal_state_dump_locked(c, "participant left twice");
     }
   }
   if (c.current == id) c.current = -1;
@@ -320,6 +321,24 @@ void leave_locked(Ctl& c, int id) {
   c.cv.notify_all();
   t_tls.epoch = 0;
   t_tls.id = -1;
+}
+
+// True if the session the caller joined under `e` has ended. disarm()
+// flips the epoch under c.mu and force-deregisters the participant
+// that holds the grant; that thread may already be inside a hook,
+// blocked on c.mu. Once it gets the lock it must not touch its rec
+// again: writing a new state over kLeft would let the rec leave a
+// second time, drive `live` below zero, and hang disarm's drain wait
+// forever. Reconciles the caller's TLS and reports the end.
+bool session_ended_locked(Ctl& c, std::uint32_t e) {
+  if (g_armed_epoch.load(std::memory_order_relaxed) == e) return false;
+  if (c.epoch == e) {
+    leave_locked(c, t_tls.id);  // rec is already kLeft: no re-count
+  } else {
+    t_tls.epoch = 0;  // a newer session owns the recs now
+    t_tls.id = -1;
+  }
+  return true;
 }
 
 // Park until granted (or the session ends). Returns false if the
@@ -429,6 +448,7 @@ void yield_point_slow(Point kind) {
   Ctl& c = ctl();
   const std::uint32_t e = t_tls.epoch;
   std::unique_lock<std::mutex> lk(c.mu);
+  if (session_ended_locked(c, e)) return;
   Rec& r = *c.recs[static_cast<std::size_t>(t_tls.id)];
   r.last_point = kind;
   r.st = (kind == Point::kPoll) ? St::kPolling : St::kReady;
@@ -449,6 +469,7 @@ bool cooperative_lock_slow(void* mu) {
   const std::uint32_t e = t_tls.epoch;
   for (;;) {
     std::unique_lock<std::mutex> lk(c.mu);
+    if (session_ended_locked(c, e)) return false;  // caller real-locks
     // try_lock under c.mu closes the race with note_unlocked_slow,
     // which performs the real unlock *before* taking c.mu: if the
     // mutex was freed before we got here, this succeeds; if it is
@@ -497,6 +518,7 @@ void cond_wait_slow(void* cv) {
   Ctl& c = ctl();
   const std::uint32_t e = t_tls.epoch;
   std::unique_lock<std::mutex> lk(c.mu);
+  if (session_ended_locked(c, e)) return;  // a spurious wake
   Rec& r = *c.recs[static_cast<std::size_t>(t_tls.id)];
   if (c.params.spurious_wake_denom > 0 &&
       r.rng.below(static_cast<std::uint64_t>(c.params.spurious_wake_denom)) ==
@@ -528,6 +550,7 @@ bool cond_wait_timed_slow(void* cv) {
   Ctl& c = ctl();
   const std::uint32_t e = t_tls.epoch;
   std::unique_lock<std::mutex> lk(c.mu);
+  if (session_ended_locked(c, e)) return false;  // not a timeout
   Rec& r = *c.recs[static_cast<std::size_t>(t_tls.id)];
   if (c.params.spurious_wake_denom > 0 &&
       r.rng.below(static_cast<std::uint64_t>(c.params.spurious_wake_denom)) ==

@@ -17,14 +17,16 @@
 
 namespace octgb::geom {
 
-/// Buckets a point set into cubic cells of edge `cell_size`. Cells are
-/// stored sparsely-by-rank in a CSR layout for cache-friendly queries.
+/// Buckets a point set into cubic cells of edge `cell_size`. Points are
+/// stored in cell order (CSR): the cells of one (y, z) row are adjacent
+/// in the linear cell index, so a query scans one contiguous slice of
+/// points per row instead of one slice per cell.
 class CellList {
  public:
   CellList() = default;
 
   CellList(std::span<const Vec3> points, double cell_size)
-      : points_(points.begin(), points.end()), cell_size_(cell_size) {
+      : cell_size_(cell_size) {
     if (points.empty()) return;
     for (const auto& p : points) bounds_.extend(p);
     // One cell of padding so neighbor loops never index out of range.
@@ -46,11 +48,15 @@ class CellList {
     for (std::size_t c = 0; c < ncells; ++c) {
       cell_start_[c + 1] += cell_start_[c];
     }
-    order_.resize(points.size());
+    // Stable scatter: within a cell, points keep their input order.
+    ids_.resize(points.size());
+    points_.resize(points.size());
     std::vector<std::uint32_t> cursor(cell_start_.begin(),
                                       cell_start_.end() - 1);
     for (std::size_t i = 0; i < points.size(); ++i) {
-      order_[cursor[cell_of[i]]++] = static_cast<std::uint32_t>(i);
+      const std::uint32_t k = cursor[cell_of[i]]++;
+      ids_[k] = static_cast<std::uint32_t>(i);
+      points_[k] = points[i];
     }
   }
 
@@ -58,7 +64,8 @@ class CellList {
   double cell_size() const { return cell_size_; }
 
   /// Calls fn(point_id, point) for every stored point within `radius`
-  /// of `q` (inclusive). `radius` may exceed the cell size; the loop
+  /// of `q` (inclusive), cell by cell in linear cell order and in input
+  /// order within a cell. `radius` may exceed the cell size; the loop
   /// visits ceil(radius/cell)^3 cells -- the cubic cutoff growth the
   /// nblist baselines exhibit by construction.
   template <typename Fn>
@@ -68,18 +75,18 @@ class CellList {
     const int reach = static_cast<int>(std::ceil(radius / cell_size_));
     const int cx = coord(q.x - origin_.x), cy = coord(q.y - origin_.y),
               cz = coord(q.z - origin_.z);
+    const int x0 = std::max(0, cx - reach);
+    const int x1 = std::min(nx_ - 1, cx + reach);
+    if (x0 > x1) return;
     for (int z = std::max(0, cz - reach); z <= std::min(nz_ - 1, cz + reach);
          ++z) {
       for (int y = std::max(0, cy - reach);
            y <= std::min(ny_ - 1, cy + reach); ++y) {
-        for (int x = std::max(0, cx - reach);
-             x <= std::min(nx_ - 1, cx + reach); ++x) {
-          const std::size_t c = linear(x, y, z);
-          for (std::uint32_t k = cell_start_[c]; k < cell_start_[c + 1];
-               ++k) {
-            const std::uint32_t id = order_[k];
-            if (distance2(points_[id], q) <= r2) fn(id, points_[id]);
-          }
+        // Cells x0..x1 of this row are consecutive, so their points
+        // form one slice.
+        const std::uint32_t end = cell_start_[linear(x1, y, z) + 1];
+        for (std::uint32_t k = cell_start_[linear(x0, y, z)]; k < end; ++k) {
+          if (distance2(points_[k], q) <= r2) fn(ids_[k], points_[k]);
         }
       }
     }
@@ -102,13 +109,13 @@ class CellList {
            static_cast<std::size_t>(x);
   }
 
-  std::vector<Vec3> points_;
+  std::vector<Vec3> points_;        // cell order
+  std::vector<std::uint32_t> ids_;  // input index of points_[k]
   double cell_size_ = 1.0;
   Aabb bounds_;
   Vec3 origin_;
   int nx_ = 0, ny_ = 0, nz_ = 0;
   std::vector<std::uint32_t> cell_start_;
-  std::vector<std::uint32_t> order_;
 };
 
 }  // namespace octgb::geom

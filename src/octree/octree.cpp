@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <stdexcept>
 
 #include "src/analysis/contracts.h"
@@ -60,20 +59,9 @@ geom::Vec3 node_sum(std::span<const geom::Vec3> points,
   return s;
 }
 
-/// parallel_for when a pool is supplied and the range is worth it;
-/// plain serial call otherwise. Both paths invoke the same body over
-/// the same index space.
-void for_range(parallel::WorkStealingPool* pool, std::size_t begin,
-               std::size_t end, std::size_t grain,
-               const std::function<void(std::size_t, std::size_t)>& body) {
-  if (pool != nullptr && end - begin > grain) {
-    pool->run([&] { parallel::parallel_for(*pool, begin, end, grain, body); });
-  } else {
-    body(begin, end);
-  }
-}
-
 }  // namespace
+
+using parallel::for_range;
 
 parallel::WorkStealingPool* Octree::effective_pool(
     std::size_t n, parallel::WorkStealingPool* pool) const {

@@ -212,6 +212,16 @@ void WorkStealingPool::push_task(detail::Task* task) {
   deques_[static_cast<std::size_t>(index)]->deque.push_bottom(task);
 }
 
+void for_range(WorkStealingPool* pool, std::size_t begin, std::size_t end,
+               std::size_t grain,
+               const std::function<void(std::size_t, std::size_t)>& body) {
+  if (pool != nullptr && pool->num_workers() > 1 && end - begin > grain) {
+    pool->run([&] { parallel_for(*pool, begin, end, grain, body); });
+  } else {
+    body(begin, end);
+  }
+}
+
 void parallel_for(WorkStealingPool& pool, std::size_t begin, std::size_t end,
                   std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& body) {

@@ -138,6 +138,16 @@ void parallel_for(WorkStealingPool& pool, std::size_t begin, std::size_t end,
                   std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& body);
 
+/// parallel_for on `pool` when one is given, it has more than one
+/// worker and [begin, end) holds more than `grain` indices; otherwise a
+/// single inline body(begin, end) call that never touches the pool (no
+/// run(), no spawn). Both paths invoke the same body over the same
+/// index space, so a body with disjoint per-index writes produces the
+/// same result either way. Callable inside or outside pool->run().
+void for_range(WorkStealingPool* pool, std::size_t begin, std::size_t end,
+               std::size_t grain,
+               const std::function<void(std::size_t, std::size_t)>& body);
+
 /// Spawns both callables and joins.
 void parallel_invoke(WorkStealingPool& pool, std::function<void()> a,
                      std::function<void()> b);

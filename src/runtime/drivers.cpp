@@ -65,7 +65,7 @@ DriverResult run_oct_cilk(const molecule::Molecule& mol, int threads,
   util::WallTimer timer;
   const surface::QuadratureSurface surf = [&] {
     OCTGB_TRACE_SCOPE("driver/surface");
-    return surface::build_surface(mol, params.surface);
+    return surface::build_surface(mol, params.surface, &pool);
   }();
   result.num_qpoints = surf.size();
   result.t_surface = timer.seconds();

@@ -470,7 +470,7 @@ Response PolarizationService::compute_one(const Request& req,
     OCTGB_COUNTER_ADD("serve.cold_builds", 1);
     resp.path = Path::kColdBuild;
     entry->surf = std::make_shared<const surface::QuadratureSurface>(
-        surface::build_surface(req.mol, params.surface));
+        surface::build_surface(req.mol, params.surface, pool));
     entry->trees = gb::build_born_octrees(req.mol, *entry->surf,
                                           params.octree, pool);
     resp.t_build = stage.seconds();

@@ -39,6 +39,17 @@ class GaussianDensityField {
   /// Analytic gradient of F.
   geom::Vec3 gradient(const geom::Vec3& x) const;
 
+  struct ValueGradient {
+    double value = 0.0;
+    geom::Vec3 gradient;
+  };
+
+  /// F(x) and grad F(x) from one sweep over the nearby atoms. Each sum
+  /// runs over the same atoms in the same order with the same per-atom
+  /// arithmetic as value() and gradient(), so both fields are bitwise
+  /// equal to the separate calls.
+  ValueGradient value_and_gradient(const geom::Vec3& x) const;
+
   /// Outward unit surface normal at x (valid near the iso-surface):
   /// -grad F / |grad F|, since F decreases outward.
   geom::Vec3 outward_normal(const geom::Vec3& x) const;

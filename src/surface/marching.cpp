@@ -1,12 +1,13 @@
 #include "src/surface/marching.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "src/telemetry/telemetry.h"
 
 namespace octgb::surface {
 
@@ -29,10 +30,11 @@ struct PairHash {
   }
 };
 
-}  // namespace
-
-TriMesh marching_tetrahedra(const GaussianDensityField& field,
-                            const MarchingParams& params) {
+// Samples the field at every grid vertex and walks the grid's cubes:
+// the indexed mesh before projection and orientation.
+TriMesh sample_and_march(const GaussianDensityField& field,
+                         const MarchingParams& params,
+                         parallel::WorkStealingPool* pool) {
   const geom::Aabb box = field.surface_bounds();
   // No atoms -> the bounds are the empty Aabb sentinel (+inf, -inf);
   // sizing the grid from it would cast inf to an integer (undefined,
@@ -61,16 +63,24 @@ TriMesh marching_tetrahedra(const GaussianDensityField& field,
 
   // Sample the field at every grid vertex. float halves the footprint;
   // iso-crossing interpolation accuracy is limited by `h`, not by this.
+  // Each vertex writes only its own slot, so chunking cannot change it.
   std::vector<float> values(nverts);
-  for (std::size_t z = 0; z < nz; ++z) {
-    for (std::size_t y = 0; y < ny; ++y) {
-      for (std::size_t x = 0; x < nx; ++x) {
-        values[vid(x, y, z)] =
-            static_cast<float>(field.value(vpos(x, y, z)));
-      }
-    }
+  {
+    OCTGB_TRACE_SCOPE("surface/grid");
+    parallel::for_range(
+        pool, 0, nverts, kSurfaceGrain, [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            values[i] = static_cast<float>(
+                field.value(vpos(i % nx, (i / nx) % ny, i / (nx * ny))));
+          }
+        });
   }
+  OCTGB_COUNTER_ADD("surface.grid_vertices", nverts);
 
+  // The cube walk and its edge table stay serial: vertex and triangle
+  // numbering follow the cube order, and the walk is a small share of
+  // the surface time next to the field sweeps around it.
+  OCTGB_TRACE_SCOPE("surface/march");
   TriMesh mesh;
   // Deduplicate iso-vertices per grid edge so the mesh is indexed.
   std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t,
@@ -155,44 +165,86 @@ TriMesh marching_tetrahedra(const GaussianDensityField& field,
     }
   }
 
-  // Newton-project vertices onto the iso-surface: linear interpolation
-  // along grid edges leaves O(h^2) level-set error, which the Born
-  // integrals would inherit. Two damped Newton steps of
-  //   x <- x + (iso - F(x)) * g / |g|^2,   g = grad F(x)
-  // (step clamped to half a cell) reduce |F - iso| by orders of
-  // magnitude. Vertices are deduplicated, so shared vertices move
-  // identically and the mesh stays crack-free.
-  for (auto& v : mesh.vertices) {
-    for (int step = 0; step < 2; ++step) {
-      const geom::Vec3 g = field.gradient(v);
-      const double g2 = g.norm2();
-      if (g2 < 1e-12) break;
-      geom::Vec3 delta = g * ((params.iso - field.value(v)) / g2);
-      const double max_step = 0.5 * h;
-      const double len = delta.norm();
-      if (len > max_step) delta *= max_step / len;
-      v += delta;
-    }
-  }
+  return mesh;
+}
 
-  // Orient every triangle outward (along -grad F at its centroid) and
-  // drop degenerate slivers.
-  std::vector<std::array<std::uint32_t, 3>> kept;
-  kept.reserve(mesh.triangles.size());
+// Newton-projects vertices onto the iso-surface: linear interpolation
+// along grid edges leaves O(h^2) level-set error, which the Born
+// integrals would inherit. Two damped Newton steps of
+//   x <- x + (iso - F(x)) * g / |g|^2,   g = grad F(x)
+// (step clamped to half a cell) reduce |F - iso| by orders of
+// magnitude. Vertices are deduplicated, so shared vertices move
+// identically and the mesh stays crack-free. Each vertex moves
+// independently of the others, and F and g come from one fused sweep.
+void project_vertices(const GaussianDensityField& field,
+                      const MarchingParams& params, TriMesh& mesh,
+                      parallel::WorkStealingPool* pool) {
+  OCTGB_TRACE_SCOPE("surface/project");
+  const double max_step = 0.5 * params.spacing;
+  parallel::for_range(
+      pool, 0, mesh.vertices.size(), kSurfaceGrain,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          geom::Vec3& v = mesh.vertices[i];
+          for (int step = 0; step < 2; ++step) {
+            const auto [f, g] = field.value_and_gradient(v);
+            const double g2 = g.norm2();
+            if (g2 < 1e-12) break;
+            geom::Vec3 delta = g * ((params.iso - f) / g2);
+            const double len = delta.norm();
+            if (len > max_step) delta *= max_step / len;
+            v += delta;
+          }
+        }
+      });
+}
+
+// Orients every triangle outward (along -grad F at its centroid) and
+// drops degenerate slivers: a verdict per triangle, then a serial
+// compaction in triangle order.
+void orient_triangles(const GaussianDensityField& field, TriMesh& mesh,
+                      parallel::WorkStealingPool* pool) {
+  OCTGB_TRACE_SCOPE("surface/orient");
+  enum Verdict : std::uint8_t { kDrop, kKeep, kFlip };
+  std::vector<Verdict> verdict(mesh.triangles.size());
+  parallel::for_range(
+      pool, 0, mesh.triangles.size(), kSurfaceGrain,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t t = lo; t < hi; ++t) {
+          if (mesh.triangle_area(t) < 1e-12) {
+            verdict[t] = kDrop;
+            continue;
+          }
+          const auto& tri = mesh.triangles[t];
+          const geom::Vec3 centroid = (mesh.vertices[tri[0]] +
+                                       mesh.vertices[tri[1]] +
+                                       mesh.vertices[tri[2]]) /
+                                      3.0;
+          const geom::Vec3 outward = field.outward_normal(centroid);
+          verdict[t] =
+              mesh.triangle_normal(t).dot(outward) < 0.0 ? kFlip : kKeep;
+        }
+      });
+  std::size_t kept = 0;
   for (std::size_t t = 0; t < mesh.triangles.size(); ++t) {
-    if (mesh.triangle_area(t) < 1e-12) continue;
+    if (verdict[t] == kDrop) continue;
     auto tri = mesh.triangles[t];
-    const geom::Vec3 centroid = (mesh.vertices[tri[0]] +
-                                 mesh.vertices[tri[1]] +
-                                 mesh.vertices[tri[2]]) /
-                                3.0;
-    const geom::Vec3 outward = field.outward_normal(centroid);
-    if (mesh.triangle_normal(t).dot(outward) < 0.0) {
-      std::swap(tri[1], tri[2]);
-    }
-    kept.push_back(tri);
+    if (verdict[t] == kFlip) std::swap(tri[1], tri[2]);
+    mesh.triangles[kept++] = tri;
   }
-  mesh.triangles = std::move(kept);
+  mesh.triangles.resize(kept);
+}
+
+}  // namespace
+
+TriMesh marching_tetrahedra(const GaussianDensityField& field,
+                            const MarchingParams& params,
+                            parallel::WorkStealingPool* pool) {
+  TriMesh mesh = sample_and_march(field, params, pool);
+  project_vertices(field, params, mesh, pool);
+  OCTGB_COUNTER_ADD("surface.mesh_vertices", mesh.vertices.size());
+  orient_triangles(field, mesh, pool);
+  OCTGB_COUNTER_ADD("surface.triangles", mesh.triangles.size());
   return mesh;
 }
 

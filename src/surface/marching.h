@@ -11,10 +11,17 @@
 
 #include <cstddef>
 
+#include "src/parallel/pool.h"
 #include "src/surface/density.h"
 #include "src/surface/mesh.h"
 
 namespace octgb::surface {
+
+/// Chunk size, in points, of the mesh path's per-point loops (grid
+/// sampling, Newton projection, orientation, quadrature normals) on a
+/// pool. A loop over no more points than this runs inline without
+/// touching the pool, so small inputs such as ligands never spawn.
+inline constexpr std::size_t kSurfaceGrain = 2048;
 
 struct MarchingParams {
   double spacing = 0.7;  // grid spacing in Angstrom
@@ -27,8 +34,12 @@ struct MarchingParams {
 
 /// Extracts the iso-surface of `field` over its surface bounds.
 /// Triangles are oriented outward (consistent with the density gradient);
-/// degenerate triangles are dropped.
+/// degenerate triangles are dropped. With a pool, the grid sampling,
+/// vertex projection and orientation loops run on it; the mesh is
+/// bit-identical to the serial (pool == nullptr) result at any worker
+/// count.
 TriMesh marching_tetrahedra(const GaussianDensityField& field,
-                            const MarchingParams& params = {});
+                            const MarchingParams& params = {},
+                            parallel::WorkStealingPool* pool = nullptr);
 
 }  // namespace octgb::surface

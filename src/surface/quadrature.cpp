@@ -6,6 +6,7 @@
 
 #include "src/geom/celllist.h"
 #include "src/surface/marching.h"
+#include "src/telemetry/telemetry.h"
 #include "src/util/log.h"
 
 namespace octgb::surface {
@@ -77,32 +78,48 @@ const TriangleRule& dunavant_rule(int degree) {
 
 QuadratureSurface sample_mesh(const TriMesh& mesh,
                               const GaussianDensityField& field,
-                              int degree) {
+                              int degree, parallel::WorkStealingPool* pool) {
+  OCTGB_TRACE_SCOPE("surface/quadrature");
   const TriangleRule& rule = dunavant_rule(degree);
-  QuadratureSurface surf;
-  const std::size_t n = mesh.num_triangles() * rule.nodes.size();
-  surf.points.reserve(n);
-  surf.normals.reserve(n);
-  surf.weights.reserve(n);
-  for (std::size_t t = 0; t < mesh.num_triangles(); ++t) {
-    const double area = mesh.triangle_area(t);
-    if (area <= 0.0) continue;
-    const geom::Vec3 a = mesh.triangle_vertex(t, 0);
-    const geom::Vec3 b = mesh.triangle_vertex(t, 1);
-    const geom::Vec3 c = mesh.triangle_vertex(t, 2);
-    const geom::Vec3 facet_normal = mesh.triangle_normal(t);
-    for (std::size_t k = 0; k < rule.nodes.size(); ++k) {
-      const auto& bc = rule.nodes[k];
-      const geom::Vec3 p = a * bc[0] + b * bc[1] + c * bc[2];
-      geom::Vec3 normal = field.outward_normal(p);
-      // Near-flat density (deep pockets) can zero the gradient; fall
-      // back to the facet normal, which is always outward-wound.
-      if (normal.norm2() < 0.5) normal = facet_normal;
-      surf.points.push_back(p);
-      surf.normals.push_back(normal);
-      surf.weights.push_back(area * rule.weights[k]);
-    }
+  const std::size_t nt = mesh.num_triangles();
+  const std::size_t nodes = rule.nodes.size();
+  // Triangle t owns q-points [first[t], first[t + 1]); degenerate
+  // triangles own none. The slots are fixed before any point is
+  // written, so the output order is the serial one at any chunking.
+  std::vector<double> area(nt);
+  std::vector<std::size_t> first(nt + 1, 0);
+  for (std::size_t t = 0; t < nt; ++t) {
+    area[t] = mesh.triangle_area(t);
+    first[t + 1] = first[t] + (area[t] > 0.0 ? nodes : 0);
   }
+  QuadratureSurface surf;
+  surf.points.resize(first[nt]);
+  surf.normals.resize(first[nt]);
+  surf.weights.resize(first[nt]);
+  parallel::for_range(
+      pool, 0, nt, kSurfaceGrain, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t t = lo; t < hi; ++t) {
+          if (area[t] <= 0.0) continue;
+          const geom::Vec3 a = mesh.triangle_vertex(t, 0);
+          const geom::Vec3 b = mesh.triangle_vertex(t, 1);
+          const geom::Vec3 c = mesh.triangle_vertex(t, 2);
+          const geom::Vec3 facet_normal = mesh.triangle_normal(t);
+          for (std::size_t k = 0; k < nodes; ++k) {
+            const auto& bc = rule.nodes[k];
+            const geom::Vec3 p = a * bc[0] + b * bc[1] + c * bc[2];
+            geom::Vec3 normal = field.outward_normal(p);
+            // Near-flat density (deep pockets) can zero the gradient;
+            // fall back to the facet normal, which is always
+            // outward-wound.
+            if (normal.norm2() < 0.5) normal = facet_normal;
+            const std::size_t q = first[t] + k;
+            surf.points[q] = p;
+            surf.normals[q] = normal;
+            surf.weights[q] = area[t] * rule.weights[k];
+          }
+        }
+      });
+  OCTGB_COUNTER_ADD("surface.qpoints", surf.size());
   return surf;
 }
 
@@ -167,16 +184,17 @@ QuadratureSurface sphere_sampled_surface_slice(const molecule::Molecule& mol,
 }
 
 QuadratureSurface build_surface(const molecule::Molecule& mol,
-                                const SurfaceParams& params) {
+                                const SurfaceParams& params,
+                                parallel::WorkStealingPool* pool) {
   if (mol.size() <= params.mesh_atom_limit) {
     const GaussianDensityField field(mol, params.blobbiness);
     MarchingParams mp;
     mp.spacing = params.spacing;
     try {
-      const TriMesh mesh = marching_tetrahedra(field, mp);
+      const TriMesh mesh = marching_tetrahedra(field, mp, pool);
       if (!mesh.triangles.empty()) {
         QuadratureSurface surf =
-            sample_mesh(mesh, field, params.quadrature_degree);
+            sample_mesh(mesh, field, params.quadrature_degree, pool);
         util::log_debug("surface: mesh path, ", mesh.num_triangles(),
                         " triangles, ", surf.size(), " q-points");
         return surf;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/molecule/molecule.h"
+#include "src/parallel/pool.h"
 #include "src/surface/density.h"
 #include "src/surface/mesh.h"
 
@@ -55,10 +56,13 @@ const TriangleRule& dunavant_rule(int degree);
 
 /// Places `rule(degree)` quadrature points on every triangle of `mesh`.
 /// Normals are taken from the density gradient at each node (more
-/// accurate than facet normals for coarse meshes).
+/// accurate than facet normals for coarse meshes). With a pool, the
+/// triangles are sampled on it into slots fixed by a prefix sum, so the
+/// arrays are bit-identical to the serial (pool == nullptr) result.
 QuadratureSurface sample_mesh(const TriMesh& mesh,
                               const GaussianDensityField& field,
-                              int degree = 2);
+                              int degree = 2,
+                              parallel::WorkStealingPool* pool = nullptr);
 
 /// Quadrature of the union-of-spheres surface: for each atom,
 /// `points_per_atom` Fibonacci-lattice points on its sphere of radius
@@ -103,8 +107,11 @@ struct SurfaceParams {
 
 /// Builds the q-point set for a molecule, auto-selecting the triangulated
 /// path for small/medium molecules and the sphere-sampled path for large
-/// ones (the selection can be forced via the params).
+/// ones (the selection can be forced via the params). The pool, when
+/// given, runs the mesh path's per-point loops (marching_tetrahedra,
+/// sample_mesh); the result is bit-identical at any worker count.
 QuadratureSurface build_surface(const molecule::Molecule& mol,
-                                const SurfaceParams& params = {});
+                                const SurfaceParams& params = {},
+                                parallel::WorkStealingPool* pool = nullptr);
 
 }  // namespace octgb::surface

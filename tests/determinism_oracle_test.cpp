@@ -36,6 +36,7 @@
 #include "src/parallel/pool.h"
 #include "src/serve/content_hash.h"
 #include "src/serve/service.h"
+#include "src/surface/marching.h"
 #include "src/surface/quadrature.h"
 #include "src/util/rng.h"
 #include "src/util/thread_annotations.h"
@@ -163,6 +164,66 @@ TEST(DeterminismOracleTest, OctreeRefitAndRekeyBitIdenticalAcrossWorkerCounts) {
     octree::Octree t2(points, params, &pool);
     t2.refit_rekey(moved, &pool);
     EXPECT_EQ(digest_tree(t2), want_rekey) << "rekey workers=" << workers;
+  }
+}
+
+// ------------------------------------------------------------ surface
+
+std::uint64_t digest_mesh(const surface::TriMesh& mesh) {
+  Digest d;
+  d.u64(mesh.vertices.size());
+  for (const geom::Vec3& v : mesh.vertices) d.f64(v.x).f64(v.y).f64(v.z);
+  d.u64(mesh.triangles.size());
+  for (const auto& t : mesh.triangles) d.u32(t[0]).u32(t[1]).u32(t[2]);
+  return d.value();
+}
+
+std::uint64_t digest_qpoints(const surface::QuadratureSurface& surf) {
+  Digest d;
+  d.u64(surf.size());
+  for (std::size_t q = 0; q < surf.size(); ++q) {
+    d.f64(surf.points[q].x).f64(surf.points[q].y).f64(surf.points[q].z);
+    d.f64(surf.normals[q].x).f64(surf.normals[q].y).f64(surf.normals[q].z);
+    d.f64(surf.weights[q]);
+  }
+  return d.value();
+}
+
+// The mesh path's per-point loops run on the pool: grid samples, mesh
+// vertices and triangles, and the q-points with their normals and
+// weights must all equal the serial build bit for bit. The 10-atom
+// ligand stays below the grain and runs inline; the empty molecule has
+// no surface at all.
+TEST(DeterminismOracleTest, SurfaceBitIdenticalAcrossWorkerCounts) {
+  const molecule::Molecule mols[] = {molecule::generate_protein(1500, 61),
+                                     molecule::generate_ligand(10, 900),
+                                     molecule::Molecule("empty")};
+  const surface::SurfaceParams sp;
+  surface::MarchingParams mp;
+  mp.spacing = sp.spacing;
+  for (const molecule::Molecule& mol : mols) {
+    const surface::GaussianDensityField field(mol, sp.blobbiness);
+    const surface::TriMesh serial_mesh =
+        surface::marching_tetrahedra(field, mp, nullptr);
+    const surface::QuadratureSurface serial_surf =
+        surface::build_surface(mol, sp, nullptr);
+    const std::uint64_t want_mesh = digest_mesh(serial_mesh);
+    const std::uint64_t want_surf = digest_qpoints(serial_surf);
+    if (mol.size() > 100) {
+      EXPECT_GT(serial_mesh.vertices.size(), surface::kSurfaceGrain);
+      EXPECT_GT(serial_surf.size(), surface::kSurfaceGrain);
+    }
+    for (const int workers : kWorkerCounts) {
+      parallel::WorkStealingPool pool(workers);
+      for (int rep = 0; rep < 3; ++rep) {
+        EXPECT_EQ(digest_mesh(surface::marching_tetrahedra(field, mp, &pool)),
+                  want_mesh)
+            << mol.size() << " atoms, workers=" << workers << " rep=" << rep;
+        EXPECT_EQ(digest_qpoints(surface::build_surface(mol, sp, &pool)),
+                  want_surf)
+            << mol.size() << " atoms, workers=" << workers << " rep=" << rep;
+      }
+    }
   }
 }
 

@@ -6,14 +6,25 @@
 //   (1/4pi)  sum w (r-x).n / |r-x|^6  = 1/R^3    (r^6 form, Eq. 4)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
+#include <tuple>
+#include <vector>
 
+#include "src/gb/calculator.h"
+#include "src/geom/celllist.h"
 #include "src/molecule/generators.h"
+#include "src/parallel/pool.h"
 #include "src/surface/density.h"
 #include "src/surface/marching.h"
 #include "src/surface/mesh.h"
 #include "src/surface/quadrature.h"
+#include "src/telemetry/telemetry.h"
+#include "src/util/rng.h"
 
 namespace octgb::surface {
 namespace {
@@ -81,6 +92,50 @@ TEST(DensityTest, SurfaceBoundsContainIsoSurface) {
   // Everywhere on the bounds' faces F must be < 1 (outside the surface).
   EXPECT_LT(field.value(bounds.lo), 1.0);
   EXPECT_LT(field.value(bounds.hi), 1.0);
+}
+
+// The fused sweep must reproduce the separate calls bit for bit, and
+// both must equal a plain per-atom sweep over the same neighbours in
+// the same order with the field's arithmetic.
+TEST(DensityTest, ValueAndGradientBitwiseEqualsSeparateCalls) {
+  const auto mol = molecule::generate_protein(300, 21);
+  const double blobbiness = 1.0;
+  const GaussianDensityField field(mol, blobbiness);
+  const geom::CellList cells(mol.positions(),
+                             std::max(field.cutoff() / 2.0, 1.0));
+  const auto radii = mol.radii();
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  util::Xoshiro256 rng(5);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t atom = rng.below(mol.size());
+    const double reach = trial % 10 == 0 ? 40.0 : 4.0;  // some far away
+    const geom::Vec3 x =
+        mol.atom(atom).position + geom::Vec3{rng.uniform(-reach, reach),
+                                             rng.uniform(-reach, reach),
+                                             rng.uniform(-reach, reach)};
+    double want_f = 0.0;
+    geom::Vec3 want_g;
+    cells.for_each_within(
+        x, field.cutoff(), [&](std::uint32_t i, const geom::Vec3& c) {
+          const double inv_r2 = blobbiness / (radii[i] * radii[i]);
+          const double e =
+              std::exp(-(geom::distance2(x, c) * inv_r2 - blobbiness));
+          want_f += e;
+          want_g += (x - c) * (-2.0 * inv_r2 * e);
+        });
+    const auto vg = field.value_and_gradient(x);
+    const double f = field.value(x);
+    const geom::Vec3 g = field.gradient(x);
+    ASSERT_EQ(bits(vg.value), bits(f)) << "trial " << trial;
+    ASSERT_EQ(bits(vg.value), bits(want_f)) << "trial " << trial;
+    for (const auto& [got, sep, want] :
+         {std::tuple{vg.gradient.x, g.x, want_g.x},
+          std::tuple{vg.gradient.y, g.y, want_g.y},
+          std::tuple{vg.gradient.z, g.z, want_g.z}}) {
+      ASSERT_EQ(bits(got), bits(sep)) << "trial " << trial;
+      ASSERT_EQ(bits(got), bits(want)) << "trial " << trial;
+    }
+  }
 }
 
 TEST(MarchingTest, SphereAreaConverges) {
@@ -301,6 +356,78 @@ TEST(QuadratureTest, ProteinSurfaceQPointDensityIsPaperLike) {
                           static_cast<double>(mol.size());
   EXPECT_GT(per_atom, 0.5);
   EXPECT_LT(per_atom, 60.0);
+}
+
+// A cold call's surface phase reports its five steps as child spans of
+// calc/surface, on the calling thread even when the loops run on a
+// pool, and its work counters equal the sizes of the mesh it built.
+TEST(SurfaceTelemetryTest, PhaseSpansNestUnderCalcSurfaceAndCountersMatch) {
+  const auto mol = molecule::generate_protein(800, 33);
+  gb::CalculatorParams params;
+  auto& registry = telemetry::MetricsRegistry::instance();
+  const char* const kCounters[] = {"surface.grid_vertices",
+                                   "surface.mesh_vertices",
+                                   "surface.triangles", "surface.qpoints"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : kCounters) {
+    before.push_back(registry.counter(name).value());
+  }
+  telemetry::TraceRecorder& rec = telemetry::TraceRecorder::instance();
+  rec.reset();
+  rec.set_enabled(true);
+  parallel::WorkStealingPool pool(2);
+  const gb::GBResult result = gb::compute_gb_energy(mol, params, &pool);
+  rec.set_enabled(false);
+  const std::vector<telemetry::TraceEvent> events = rec.collect();
+  rec.reset();
+  std::vector<std::uint64_t> delta;
+  for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+    delta.push_back(registry.counter(kCounters[i]).value() - before[i]);
+  }
+
+#if defined(OCTGB_TELEMETRY_ENABLED)
+  const GaussianDensityField field(mol, params.surface.blobbiness);
+  MarchingParams mp;
+  mp.spacing = params.surface.spacing;
+  const geom::Vec3 size = field.surface_bounds().size();
+  const auto axis = [&](double extent) {
+    return static_cast<std::uint64_t>(std::ceil(extent / mp.spacing)) + 1;
+  };
+  const TriMesh mesh = marching_tetrahedra(field, mp);
+  EXPECT_EQ(delta[0], axis(size.x) * axis(size.y) * axis(size.z));
+  EXPECT_EQ(delta[1], mesh.vertices.size());
+  EXPECT_EQ(delta[2], mesh.num_triangles());
+  EXPECT_EQ(delta[3], result.num_qpoints);
+  EXPECT_GT(delta[0], kSurfaceGrain);  // the pool really ran the loops
+
+  const auto parent = std::find_if(
+      events.begin(), events.end(), [](const telemetry::TraceEvent& e) {
+        return std::strcmp(e.name, "calc/surface") == 0;
+      });
+  ASSERT_NE(parent, events.end());
+  const char* const kPhases[] = {"surface/grid", "surface/march",
+                                 "surface/project", "surface/orient",
+                                 "surface/quadrature"};
+  std::uint64_t last_start = parent->t0_ns;
+  for (const char* phase : kPhases) {
+    int seen = 0;
+    for (const telemetry::TraceEvent& e : events) {
+      if (std::strcmp(e.name, phase) != 0) continue;
+      ++seen;
+      EXPECT_EQ(e.tid, parent->tid) << phase;
+      EXPECT_EQ(e.depth, parent->depth + 1) << phase;
+      EXPECT_GE(e.t0_ns, last_start) << phase << " out of order";
+      EXPECT_LE(e.t1_ns, parent->t1_ns) << phase;
+      last_start = e.t0_ns;
+    }
+    EXPECT_EQ(seen, 1) << phase;
+  }
+#else
+  // The macros compile to nothing: no spans, no counts.
+  EXPECT_TRUE(events.empty());
+  for (const std::uint64_t d : delta) EXPECT_EQ(d, 0u);
+  EXPECT_GT(result.num_qpoints, 0u);
+#endif
 }
 
 }  // namespace
