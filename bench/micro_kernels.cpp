@@ -158,11 +158,10 @@ void BM_EpolOctree(benchmark::State& state) {
 }
 BENCHMARK(BM_EpolOctree)->Arg(2000)->Arg(8000);
 
-// Two-phase engine counterparts of BM_BornOctree/BM_EpolOctree: the
-// interaction plan is prebuilt (refit-path steady state), so these
-// time the batched kernels alone. Compare against the fused pair above
-// for the kernel-throughput gain; plan construction itself is timed by
-// BM_PlanBuild.
+// Counterparts of BM_BornOctree/BM_EpolOctree with the interaction plan
+// prebuilt (refit-path steady state), so these time the batched kernels
+// alone; the pair above includes the plan build, which BM_PlanBuild
+// times by itself.
 void BM_PlanBuild(benchmark::State& state) {
   const auto mol = molecule::generate_protein(
       static_cast<std::size_t>(state.range(0)), 7);

@@ -93,5 +93,19 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       octgb::gb::build_interaction_plan(trees, aparams, nullptr);
   report = octgb::analysis::validate_plan(trees, plan, aparams);
   if (!report.ok()) die("interaction plan", report.str());
+
+  // A rank-local plan over a random q-leaf and v-leaf range must cover
+  // exactly its own sources.
+  const std::size_t nq = trees.qpoints.num_leaves();
+  const std::size_t nv = trees.atoms.num_leaves();
+  octgb::gb::PlanScope scope;
+  scope.born_begin = nq == 0 ? 0 : bs.next() % (nq + 1);
+  scope.born_end = scope.born_begin + (nq == 0 ? 0 : bs.next() % (nq + 1));
+  scope.epol_begin = nv == 0 ? 0 : bs.next() % (nv + 1);
+  scope.epol_end = scope.epol_begin + (nv == 0 ? 0 : bs.next() % (nv + 1));
+  const octgb::gb::InteractionPlan part = octgb::gb::build_interaction_plan(
+      trees.atoms, trees.qpoints, aparams, scope, nullptr);
+  report = octgb::analysis::validate_plan(trees, part, aparams);
+  if (!report.ok()) die("scoped interaction plan", report.str());
   return 0;
 }

@@ -8,7 +8,8 @@
 #   3. simd: batched-kernel equivalence under both SIMD configurations
 #      -- the default build (the AVX2 TU gets -mavx2 -mfma on x86_64)
 #      and an OCTGB_SIMD=OFF build where the scalar fallback must pass
-#      the same bit-exactness/tolerance suite (kernels_batch_test).
+#      the same bit-exactness/tolerance suite (kernels_batch_test) and
+#      the driver and docking suites (runtime_test, docking_test).
 #   4. lint: scripts/lint.sh -- detlint, the awk project rules,
 #      compile-commands TU coverage, and clang-tidy (when installed).
 #      See DESIGN.md "Static analysis & race detection".
@@ -110,12 +111,18 @@ run_simd() {
   echo "--> kernels_batch_test (SIMD build)"
   build/tests/kernels_batch_test --gtest_brief=1
   # OCTGB_SIMD=OFF strips the AVX2 TU entirely; the scalar fallback
-  # must pass the identical equivalence suite.
+  # must pass the identical equivalence suite, and the drivers and the
+  # docking scorer -- plan callers that take no SimdMode -- must pass on
+  # the executor's scalar engine.
+  local NOSIMD_TESTS=(kernels_batch_test runtime_test docking_test)
   cmake -B build-nosimd -S . -DOCTGB_SIMD=OFF \
     -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-nosimd -j "$JOBS" --target kernels_batch_test
-  echo "--> kernels_batch_test (no-SIMD build)"
-  build-nosimd/tests/kernels_batch_test --gtest_brief=1
+  cmake --build build-nosimd -j "$JOBS" --target "${NOSIMD_TESTS[@]}"
+  local t
+  for t in "${NOSIMD_TESTS[@]}"; do
+    echo "--> $t (no-SIMD build)"
+    "build-nosimd/tests/$t" --gtest_brief=1
+  done
 }
 
 run_lint() {

@@ -360,12 +360,11 @@ void check_coverage(const octree::Octree& tree,
 
 }  // namespace
 
-Report validate_plan(const gb::BornOctrees& trees,
+Report validate_plan(const octree::Octree& at, const octree::Octree& qt,
                      const gb::InteractionPlan& plan,
                      const gb::ApproxParams& params) {
   Report rep;
-  const octree::Octree& at = trees.atoms;
-  const octree::Octree& qt = trees.qpoints;
+  const gb::PlanScope& scope = plan.scope;
 
   const auto check_chunks = [&rep](const std::vector<std::uint32_t>& chunks,
                                    std::size_t size, const char* name) {
@@ -389,9 +388,19 @@ Report validate_plan(const gb::BornOctrees& trees,
   check_chunks(plan.epol_near_chunks, plan.epol_near.size(), "epol_near");
   check_chunks(plan.epol_far_chunks, plan.epol_far.size(), "epol_far");
 
+  if (scope.born_begin > scope.born_end ||
+      scope.born_end > (at.empty() ? 0 : qt.num_leaves()) ||
+      scope.epol_begin > scope.epol_end ||
+      scope.epol_end > at.num_leaves()) {
+    rep.fail("plan: scope [%zu,%zu) x [%zu,%zu) exceeds the trees",
+             scope.born_begin, scope.born_end, scope.epol_begin,
+             scope.epol_end);
+    return rep;
+  }
   if (at.empty()) return rep;
 
-  // ---- Born phase: source = T_Q leaf, items target T_A nodes. ----
+  // ---- Born phase: source = T_Q leaf, items target T_A nodes. Every
+  // q-leaf in scope is covered exactly once; none outside it at all. ----
   if (!qt.empty()) {
     const double factor2 = gb::born_far_factor2(params);
     // Group items by source q-leaf.
@@ -444,8 +453,15 @@ Report validate_plan(const gb::BornOctrees& trees,
       rep.fail("plan[born]: %zu distinct sources for %zu q-leaves",
                by_source.size(), qt.num_leaves());
     }
-    for (const std::uint32_t qleaf : qt.leaves()) {
-      check_coverage(at, by_source[qleaf], "born", qleaf, rep);
+    const auto q_leaves = qt.leaves();
+    for (std::size_t i = 0; i < q_leaves.size(); ++i) {
+      const std::uint32_t qleaf = q_leaves[i];
+      if (i >= scope.born_begin && i < scope.born_end) {
+        check_coverage(at, by_source[qleaf], "born", qleaf, rep);
+      } else if (by_source.count(qleaf) != 0) {
+        rep.fail("plan[born]: q-leaf %u is outside the scope [%zu,%zu)",
+                 qleaf, scope.born_begin, scope.born_end);
+      }
       if (rep.errors.size() > 64) return rep;  // corrupted enough
     }
   }
@@ -491,11 +507,22 @@ Report validate_plan(const gb::BornOctrees& trees,
       ++by_vleaf[p.target][p.source];
     }
     for (std::uint32_t ord = 0; ord < a_leaves.size(); ++ord) {
-      check_coverage(at, by_vleaf[ord], "epol", ord, rep);
+      if (ord >= scope.epol_begin && ord < scope.epol_end) {
+        check_coverage(at, by_vleaf[ord], "epol", ord, rep);
+      } else if (by_vleaf.count(ord) != 0) {
+        rep.fail("plan[epol]: v-leaf %u is outside the scope [%zu,%zu)",
+                 ord, scope.epol_begin, scope.epol_end);
+      }
       if (rep.errors.size() > 64) return rep;
     }
   }
   return rep;
+}
+
+Report validate_plan(const gb::BornOctrees& trees,
+                     const gb::InteractionPlan& plan,
+                     const gb::ApproxParams& params) {
+  return validate_plan(trees.atoms, trees.qpoints, plan, params);
 }
 
 Report validate_born_radii(std::span<const double> vdw_radii,

@@ -61,13 +61,22 @@ Report validate_octree(const octree::Octree& tree,
 Report validate_born_octrees(const gb::BornOctrees& trees,
                              const surface::QuadratureSurface& surf);
 
-/// Interaction-plan coverage: on every root-to-leaf path of the atoms
-/// tree there is *exactly one* plan item per source leaf (an atom pair
-/// evaluated twice or dropped is a silent energy error); far pairs
-/// satisfy the (1 + 2/eps) Greengard-Rokhlin separation with d > 0;
-/// near pairs name leaves that fail it (Born phase; the E_pol phase
-/// classifies leaves before the criterion, mirroring Figure 3); chunk
-/// tables start at 0, end at the list size and increase monotonically.
+/// Interaction-plan coverage: for every source leaf inside the plan's
+/// scope, on every root-to-leaf path of the atoms tree there is *exactly
+/// one* plan item (an atom pair evaluated twice or dropped is a silent
+/// energy error), and sources outside the scope have no items at all;
+/// far pairs satisfy the (1 + 2/eps) Greengard-Rokhlin separation with
+/// d > 0; near pairs name leaves that fail it (Born phase; the E_pol
+/// phase classifies leaves before the criterion, mirroring Figure 3);
+/// chunk tables start at 0, end at the list size and increase
+/// monotonically. `qpoints` is the Born phase's source tree, which may
+/// belong to another molecule (docking cross plans).
+Report validate_plan(const octree::Octree& atoms,
+                     const octree::Octree& qpoints,
+                     const gb::InteractionPlan& plan,
+                     const gb::ApproxParams& params);
+
+/// validate_plan over one molecule's T_A and T_Q.
 Report validate_plan(const gb::BornOctrees& trees,
                      const gb::InteractionPlan& plan,
                      const gb::ApproxParams& params);

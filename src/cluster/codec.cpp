@@ -570,6 +570,10 @@ void write_plan(Writer& w, const gb::InteractionPlan* plan) {
   w.pod_span(std::span<const std::uint32_t>(plan->born_far_chunks));
   w.pod_span(std::span<const std::uint32_t>(plan->epol_near_chunks));
   w.pod_span(std::span<const std::uint32_t>(plan->epol_far_chunks));
+  w.u64(plan->scope.born_begin);
+  w.u64(plan->scope.born_end);
+  w.u64(plan->scope.epol_begin);
+  w.u64(plan->scope.epol_end);
 }
 
 std::shared_ptr<const gb::InteractionPlan> read_plan(
@@ -584,6 +588,17 @@ std::shared_ptr<const gb::InteractionPlan> read_plan(
   plan->born_far_chunks = r.pod_vec<std::uint32_t>("born_far chunks");
   plan->epol_near_chunks = r.pod_vec<std::uint32_t>("epol_near chunks");
   plan->epol_far_chunks = r.pod_vec<std::uint32_t>("epol_far chunks");
+  gb::PlanScope& scope = plan->scope;
+  scope.born_begin = r.u64();
+  scope.born_end = r.u64();
+  scope.epol_begin = r.u64();
+  scope.epol_end = r.u64();
+  if (scope.born_begin > scope.born_end ||
+      scope.born_end > trees.qpoints.num_leaves() ||
+      scope.epol_begin > scope.epol_end ||
+      scope.epol_end > trees.atoms.num_leaves()) {
+    fail(CodecError::Kind::kCorruptField, "plan scope outside the trees");
+  }
   const std::size_t a_nodes = trees.atoms.num_nodes();
   const std::size_t a_leaves = trees.atoms.num_leaves();
   const std::size_t q_nodes = trees.qpoints.num_nodes();

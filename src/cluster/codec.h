@@ -81,7 +81,7 @@ enum class PayloadKind : std::uint8_t {
 };
 
 inline constexpr std::uint32_t kCodecMagic = 0x4f474243u;  // "CBGO" LE
-inline constexpr std::uint16_t kCodecVersion = 1;
+inline constexpr std::uint16_t kCodecVersion = 2;
 /// Frame overhead: 16-byte header + 8-byte trailing checksum.
 inline constexpr std::size_t kFrameOverheadBytes = 24;
 

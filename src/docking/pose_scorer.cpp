@@ -1,16 +1,12 @@
 #include "src/docking/pose_scorer.h"
 
-#include <cmath>
-#include <numbers>
-
 #include "src/gb/epol.h"
-#include "src/gb/naive.h"
+#include "src/gb/kernel_primitives.h"
+#include "src/util/fastmath.h"
 
 namespace octgb::docking {
 
 namespace {
-
-constexpr double kFourPi = 4.0 * std::numbers::pi;
 
 // Raw self integrals (sum over the molecule's own surface) per atom.
 std::vector<double> self_integral_sums(const gb::BornOctrees& trees,
@@ -26,15 +22,18 @@ std::vector<double> self_integral_sums(const gb::BornOctrees& trees,
   return sums;
 }
 
-// Born radii from combined (self + cross) integral sums.
+// Born radii from combined (self + cross) integral sums (Eq. 4).
 std::vector<double> radii_from_sums(const molecule::Molecule& mol,
-                                    std::span<const double> sums) {
+                                    std::span<const double> sums,
+                                    bool approx_math) {
   std::vector<double> radii(mol.size());
   const auto intrinsic = mol.radii();
   for (std::size_t i = 0; i < mol.size(); ++i) {
-    const double s = sums[i] / kFourPi;
-    radii[i] =
-        std::max(intrinsic[i], s > 0.0 ? 1.0 / std::cbrt(s) : intrinsic[i]);
+    radii[i] = approx_math
+                   ? gb::born_radius<6, util::ApproxMath>(sums[i],
+                                                          intrinsic[i])
+                   : gb::born_radius<6, util::ExactMath>(sums[i],
+                                                         intrinsic[i]);
   }
   return radii;
 }
@@ -65,14 +64,16 @@ PoseScorer::PoseScorer(molecule::Molecule receptor,
 
   // Isolated energies from the cached self radii.
   const std::vector<double> receptor_radii =
-      radii_from_sums(receptor_, receptor_cache_.self_sums);
+      radii_from_sums(receptor_, receptor_cache_.self_sums,
+                      params_.approx.approx_math);
   receptor_energy_ =
       gb::epol_octree(receptor_cache_.trees.atoms, receptor_,
                       receptor_radii, params_.approx, params_.physics,
                       pool_)
           .energy;
   const std::vector<double> ligand_radii =
-      radii_from_sums(ligand_, ligand_cache_.self_sums);
+      radii_from_sums(ligand_, ligand_cache_.self_sums,
+                      params_.approx.approx_math);
   ligand_energy_ =
       gb::epol_octree(ligand_cache_.trees.atoms, ligand_, ligand_radii,
                       params_.approx, params_.physics, pool_)
@@ -127,7 +128,8 @@ PoseScore PoseScorer::score(const geom::Rigid& pose) const {
       sums[receptor_.size() + i] =
           ligand_cache_.self_sums[i] + ligand_sums[i];
     }
-    complex_radii = radii_from_sums(complex, sums);
+    complex_radii =
+        radii_from_sums(complex, sums, params_.approx.approx_math);
   }
 
   // --- E_pol over the complex. The atoms octree of the complex is the

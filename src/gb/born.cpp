@@ -1,23 +1,18 @@
 #include "src/gb/born.h"
 
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 #include "src/analysis/contracts.h"
+#include "src/gb/interaction_lists.h"
 #include "src/gb/kernel_primitives.h"
+#include "src/gb/kernels_batch.h"
 #include "src/util/fastmath.h"
 #if defined(OCTGB_VALIDATE_BUILD)
 #include "src/analysis/validate.h"
 #endif
 
 namespace octgb::gb {
-
-namespace {
-
-constexpr double kFourPi = 4.0 * std::numbers::pi;
-
-}  // namespace
 
 double born_far_factor2(const ApproxParams& params) {
   const double eps = params.eps_born;
@@ -37,87 +32,7 @@ double born_far_factor2(const ApproxParams& params) {
 
 namespace {
 
-// Squared far-field threshold factor: far iff d^2 > (r_A+r_Q)^2 * this.
-// Default: (d_max/d_min) <= 1+eps, i.e. factor (2+eps)/eps = 1 + 2/eps
-// (the same geometric test as the E_pol phase; see ApproxParams).
-// Strict: the literal sixth-root reading, factor (k+1)/(k-1) with
-// k = (1+eps)^(1/6). Shared with the plan builder as born_far_factor2.
-double far_factor2(const ApproxParams& params) {
-  return born_far_factor2(params);
-}
-
-// Exact kernel contributions of q-leaf Q to every atom of atom-leaf A.
-template <int Power>
-void exact_leaf_pair(const octree::Octree& atoms_tree,
-                     const molecule::Molecule& mol,
-                     const octree::Octree& q_tree,
-                     const surface::QuadratureSurface& surf,
-                     const octree::Node& a_node, const octree::Node& q_node,
-                     BornWorkspace& ws, bool atomic = true) {
-  const auto a_index = atoms_tree.point_index();
-  const auto q_index = q_tree.point_index();
-  const auto positions = mol.positions();
-  for (std::uint32_t ai = a_node.begin; ai < a_node.end; ++ai) {
-    const std::uint32_t a = a_index[ai];
-    const geom::Vec3 x = positions[a];
-    double acc = 0.0;
-    for (std::uint32_t qi = q_node.begin; qi < q_node.end; ++qi) {
-      const std::uint32_t q = q_index[qi];
-      acc += born_term<Power>(surf.points[q], surf.normals[q],
-                              surf.weights[q], x);
-    }
-    kernel_add(ws.atom_s[a], acc, atomic);
-  }
-}
-
-// Far-field monopole deposit of q-node Q into atom-node A's accumulator.
-template <int Power>
-void far_deposit(const geom::Vec3& q_weighted_normal,
-                 const octree::Node& a_node, const octree::Node& q_node,
-                 double d2, std::uint32_t a_idx, BornWorkspace& ws,
-                 bool atomic = true) {
-  const geom::Vec3 diff = q_node.center - a_node.center;
-  kernel_add(ws.node_s[a_idx],
-             q_weighted_normal.dot(diff) * inv_pow<Power>(d2), atomic);
-}
-
-// Single-tree APPROX-INTEGRALS (Figure 2): Q is a fixed q-point leaf;
-// recurse over the atoms tree only.
-template <int Power = 6>
-void approx_integrals_one_leaf(const octree::Octree& atoms_tree,
-                               const molecule::Molecule& mol,
-                               const octree::Octree& q_tree,
-                               std::span<const geom::Vec3> q_node_normals,
-                               const surface::QuadratureSurface& surf,
-                               std::uint32_t qleaf, double factor2,
-                               BornWorkspace& ws) {
-  const octree::Node& q_node = q_tree.node(qleaf);
-  const geom::Vec3& nq = q_node_normals[qleaf];
-
-  // Explicit stack instead of recursion: T_A can be ~20 deep, but leaf
-  // tasks run on scheduler worker stacks shared with deep spawn trees.
-  std::uint32_t stack[256];  // >= 7 * max_depth + 8 entries
-  int top = 0;
-  stack[top++] = atoms_tree.root_index();
-  while (top > 0) {
-    const std::uint32_t a_idx = stack[--top];
-    const octree::Node& a_node = atoms_tree.node(a_idx);
-    const double s = a_node.radius + q_node.radius;
-    const double d2 = geom::distance2(a_node.center, q_node.center);
-    if (d2 > s * s * factor2 && d2 > 0.0) {
-      far_deposit<Power>(nq, a_node, q_node, d2, a_idx, ws);
-    } else if (a_node.leaf) {
-      exact_leaf_pair<Power>(atoms_tree, mol, q_tree, surf, a_node, q_node,
-                             ws);
-    } else {
-      for (const auto child : a_node.children) {
-        if (child != octree::Node::kInvalid) stack[top++] = child;
-      }
-    }
-  }
-}
-
-template <typename Math, bool kR4 = false>
+template <typename Math, int Power>
 void push_integrals_recurse(const BornOctrees& trees,
                             const molecule::Molecule& mol,
                             const BornWorkspace& ws, std::uint32_t a_idx,
@@ -134,14 +49,7 @@ void push_integrals_recurse(const BornOctrees& trees,
     const auto hi = std::min<std::size_t>(node.end, end);
     for (std::size_t ai = lo; ai < hi; ++ai) {
       const std::uint32_t a = a_index[ai];
-      const double s = (ws.atom_s[a] + total) / kFourPi;
-      double r_eff;
-      if constexpr (kR4) {
-        r_eff = s > 0.0 ? 1.0 / s : radii[a];  // Eq. 3: 1/R = s/4pi
-      } else {
-        r_eff = s > 0.0 ? Math::invcbrt(s) : radii[a];  // Eq. 4
-      }
-      out[a] = std::max(radii[a], r_eff);
+      out[a] = born_radius<Power, Math>(ws.atom_s[a] + total, radii[a]);
     }
     return;
   }
@@ -150,59 +58,30 @@ void push_integrals_recurse(const BornOctrees& trees,
     for (const auto child : node.children) {
       if (child == octree::Node::kInvalid) continue;
       tg.spawn([&, child] {
-        push_integrals_recurse<Math, kR4>(trees, mol, ws, child, total,
-                                          begin, end, out, pool);
+        push_integrals_recurse<Math, Power>(trees, mol, ws, child, total,
+                                            begin, end, out, pool);
       });
     }
     tg.wait();
   } else {
     for (const auto child : node.children) {
       if (child == octree::Node::kInvalid) continue;
-      push_integrals_recurse<Math, kR4>(trees, mol, ws, child, total,
-                                        begin, end, out, nullptr);
+      push_integrals_recurse<Math, Power>(trees, mol, ws, child, total,
+                                          begin, end, out, nullptr);
     }
   }
 }
 
 }  // namespace
 
-void born_exact_leaf_pair(const BornOctrees& trees,
-                          const molecule::Molecule& mol,
-                          const surface::QuadratureSurface& surf,
-                          std::uint32_t a_leaf, std::uint32_t q_leaf,
-                          BornWorkspace& ws, bool atomic) {
-  exact_leaf_pair<6>(trees.atoms, mol, trees.qpoints, surf,
-                     trees.atoms.node(a_leaf), trees.qpoints.node(q_leaf),
-                     ws, atomic);
-}
-
-void born_far_deposit(const BornOctrees& trees, std::uint32_t a_node,
-                      std::uint32_t q_leaf, BornWorkspace& ws,
-                      bool atomic) {
-  const octree::Node& a = trees.atoms.node(a_node);
-  const octree::Node& q = trees.qpoints.node(q_leaf);
-  // Recomputes the same distance expression the traversal classified
-  // with, so the deposited value is identical to the fused path's.
-  const double d2 = geom::distance2(a.center, q.center);
-  far_deposit<6>(trees.q_weighted_normal[q_leaf], a, q, d2, a_node, ws,
-                 atomic);
-}
-
-BornOctrees build_born_octrees(const molecule::Molecule& mol,
-                               const surface::QuadratureSurface& surf,
-                               const octree::OctreeParams& params,
-                               parallel::WorkStealingPool* pool) {
-  BornOctrees trees;
-  trees.atoms = octree::Octree(mol.positions(), params, pool);
-  trees.qpoints = octree::Octree(surf.points, params, pool);
-
-  // Node aggregates ñ_Q = sum w_q n_q: bottom-up, level at a time (deep
-  // to shallow), so every child sum is complete before its parent reads
-  // it. Within a level nodes are independent; each node sums its own
-  // inputs in a fixed order, so parallel and serial sweeps agree bit
-  // for bit.
-  trees.q_weighted_normal.assign(trees.qpoints.num_nodes(), geom::Vec3{});
-  const octree::Octree& qt = trees.qpoints;
+std::vector<geom::Vec3> q_weighted_normals(
+    const octree::Octree& qt, const surface::QuadratureSurface& surf,
+    parallel::WorkStealingPool* pool) {
+  // Bottom-up, level at a time (deep to shallow), so every child sum is
+  // complete before its parent reads it. Within a level nodes are
+  // independent; each node sums its own inputs in a fixed order, so
+  // parallel and serial sweeps agree bit for bit.
+  std::vector<geom::Vec3> out(qt.num_nodes(), geom::Vec3{});
   const auto q_index = qt.point_index();
   auto sweep = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
@@ -215,12 +94,10 @@ BornOctrees build_born_octrees(const molecule::Molecule& mol,
         }
       } else {
         for (const auto child : node.children) {
-          if (child != octree::Node::kInvalid) {
-            sum += trees.q_weighted_normal[child];
-          }
+          if (child != octree::Node::kInvalid) sum += out[child];
         }
       }
-      trees.q_weighted_normal[i] = sum;
+      out[i] = sum;
     }
   };
   const auto level_offset = qt.level_offset();
@@ -234,6 +111,17 @@ BornOctrees build_born_octrees(const molecule::Molecule& mol,
       sweep(lo, hi);
     }
   }
+  return out;
+}
+
+BornOctrees build_born_octrees(const molecule::Molecule& mol,
+                               const surface::QuadratureSurface& surf,
+                               const octree::OctreeParams& params,
+                               parallel::WorkStealingPool* pool) {
+  BornOctrees trees;
+  trees.atoms = octree::Octree(mol.positions(), params, pool);
+  trees.qpoints = octree::Octree(surf.points, params, pool);
+  trees.q_weighted_normal = q_weighted_normals(trees.qpoints, surf, pool);
   return trees;
 }
 
@@ -244,25 +132,11 @@ void approx_integrals(const BornOctrees& trees,
                       const ApproxParams& params, BornWorkspace& ws,
                       parallel::WorkStealingPool* pool) {
   if (trees.atoms.empty() || trees.qpoints.empty()) return;
-  const double factor2 = far_factor2(params);
-  const auto leaves = trees.qpoints.leaves();
-  qleaf_end = std::min(qleaf_end, leaves.size());
-  if (qleaf_begin >= qleaf_end) return;
-
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      approx_integrals_one_leaf<6>(trees.atoms, mol, trees.qpoints,
-                                   trees.q_weighted_normal, surf,
-                                   leaves[i], factor2, ws);
-    }
-  };
-  if (pool != nullptr) {
-    pool->run([&] {
-      parallel::parallel_for(*pool, qleaf_begin, qleaf_end, 1, body);
-    });
-  } else {
-    body(qleaf_begin, qleaf_end);
-  }
+  const InteractionPlan plan = build_interaction_plan(
+      trees.atoms, trees.qpoints, params,
+      PlanScope::born_only(qleaf_begin, qleaf_end), pool);
+  execute_born_plan(born_inputs(trees, mol, surf), plan,
+                    BornKernel::kSurfaceR6, ws, pool);
 }
 
 void push_integrals_to_atoms(const BornOctrees& trees,
@@ -272,21 +146,30 @@ void push_integrals_to_atoms(const BornOctrees& trees,
                              const ApproxParams& params,
                              std::span<double> out_radii,
                              parallel::WorkStealingPool* pool) {
+  push_integrals_to_atoms(trees, mol, ws, atom_begin, atom_end, params,
+                          BornKernel::kSurfaceR6, out_radii, pool);
+}
+
+void push_integrals_to_atoms(const BornOctrees& trees,
+                             const molecule::Molecule& mol,
+                             const BornWorkspace& ws,
+                             std::size_t atom_begin, std::size_t atom_end,
+                             const ApproxParams& params, BornKernel kernel,
+                             std::span<double> out_radii,
+                             parallel::WorkStealingPool* pool) {
   if (trees.atoms.empty()) return;
   atom_end = std::min(atom_end, trees.atoms.num_points());
   if (atom_begin >= atom_end) return;
+  const bool r4 = kernel == BornKernel::kSurfaceR4;
+  const auto push =
+      params.approx_math
+          ? (r4 ? push_integrals_recurse<util::ApproxMath, 4>
+                : push_integrals_recurse<util::ApproxMath, 6>)
+          : (r4 ? push_integrals_recurse<util::ExactMath, 4>
+                : push_integrals_recurse<util::ExactMath, 6>);
   auto launch = [&](parallel::WorkStealingPool* p) {
-    if (params.approx_math) {
-      push_integrals_recurse<util::ApproxMath>(trees, mol, ws,
-                                               trees.atoms.root_index(), 0.0,
-                                               atom_begin, atom_end,
-                                               out_radii, p);
-    } else {
-      push_integrals_recurse<util::ExactMath>(trees, mol, ws,
-                                              trees.atoms.root_index(), 0.0,
-                                              atom_begin, atom_end,
-                                              out_radii, p);
-    }
+    push(trees, mol, ws, trees.atoms.root_index(), 0.0, atom_begin,
+         atom_end, out_radii, p);
   };
   if (pool != nullptr) {
     pool->run([&] { launch(pool); });
@@ -318,22 +201,10 @@ void approx_integrals_cross(const octree::Octree& atoms_tree,
                             const ApproxParams& params, BornWorkspace& ws,
                             parallel::WorkStealingPool* pool) {
   if (atoms_tree.empty() || q_tree.empty()) return;
-  const double factor2 = far_factor2(params);
-  const auto leaves = q_tree.leaves();
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      approx_integrals_one_leaf<6>(atoms_tree, atoms_mol, q_tree,
-                                   q_node_normals, surf, leaves[i],
-                                   factor2, ws);
-    }
-  };
-  if (pool != nullptr) {
-    pool->run([&] {
-      parallel::parallel_for(*pool, 0, leaves.size(), 1, body);
-    });
-  } else {
-    body(0, leaves.size());
-  }
+  const InteractionPlan plan = build_interaction_plan(
+      atoms_tree, q_tree, params, PlanScope::born_only(), pool);
+  execute_born_plan({atoms_tree, atoms_mol, q_tree, q_node_normals, surf},
+                    plan, BornKernel::kSurfaceR6, ws, pool);
 }
 
 void collect_integrals_to_atoms(const octree::Octree& atoms_tree,
@@ -371,58 +242,9 @@ BornRadiiResult born_radii_octree(const BornOctrees& trees,
                                   const surface::QuadratureSurface& surf,
                                   const ApproxParams& params,
                                   parallel::WorkStealingPool* pool) {
-  BornWorkspace ws(trees);
-  approx_integrals(trees, mol, surf, 0, trees.qpoints.num_leaves(), params,
-                   ws, pool);
-  BornRadiiResult out;
-  out.radii.assign(mol.size(), 0.0);
-  push_integrals_to_atoms(trees, mol, ws, 0, mol.size(), params, out.radii,
-                          pool);
-  return out;
-}
-
-BornRadiiResult born_radii_octree_r4(const BornOctrees& trees,
-                                     const molecule::Molecule& mol,
-                                     const surface::QuadratureSurface& surf,
-                                     const ApproxParams& params,
-                                     parallel::WorkStealingPool* pool) {
-  BornRadiiResult out;
-  out.radii.assign(mol.size(), 0.0);
-  if (trees.atoms.empty() || trees.qpoints.empty()) return out;
-  BornWorkspace ws(trees);
-  const double factor2 = far_factor2(params);
-  const auto leaves = trees.qpoints.leaves();
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      approx_integrals_one_leaf<4>(trees.atoms, mol, trees.qpoints,
-                                   trees.q_weighted_normal, surf,
-                                   leaves[i], factor2, ws);
-    }
-  };
-  if (pool != nullptr) {
-    pool->run([&] {
-      parallel::parallel_for(*pool, 0, leaves.size(), 1, body);
-    });
-  } else {
-    body(0, leaves.size());
-  }
-  auto push = [&](parallel::WorkStealingPool* p) {
-    if (params.approx_math) {
-      push_integrals_recurse<util::ApproxMath, true>(
-          trees, mol, ws, trees.atoms.root_index(), 0.0, 0, mol.size(),
-          out.radii, p);
-    } else {
-      push_integrals_recurse<util::ExactMath, true>(
-          trees, mol, ws, trees.atoms.root_index(), 0.0, 0, mol.size(),
-          out.radii, p);
-    }
-  };
-  if (pool != nullptr) {
-    pool->run([&] { push(pool); });
-  } else {
-    push(nullptr);
-  }
-  return out;
+  const InteractionPlan plan = build_interaction_plan(
+      trees.atoms, trees.qpoints, params, PlanScope::born_only(), pool);
+  return born_radii_batched(trees, mol, surf, plan, params, pool);
 }
 
 BornRadiiResult born_radii_dualtree(const BornOctrees& trees,
@@ -432,7 +254,8 @@ BornRadiiResult born_radii_dualtree(const BornOctrees& trees,
                                     parallel::WorkStealingPool* pool) {
   BornWorkspace ws(trees);
   if (!trees.atoms.empty() && !trees.qpoints.empty()) {
-    const double factor2 = far_factor2(params);
+    const double factor2 = born_far_factor2(params);
+    const BornInputs in = born_inputs(trees, mol, surf);
 
     // Simultaneous traversal, collected into an explicit pair frontier
     // so the leaf-level work can be distributed by the scheduler.
@@ -496,11 +319,9 @@ BornRadiiResult born_radii_dualtree(const BornOctrees& trees,
               const double d2 =
                   geom::distance2(a_node.center, q_node.center);
               if (d2 > s * s * factor2 && d2 > 0.0) {
-                far_deposit<6>(trees.q_weighted_normal[p.q], a_node,
-                               q_node, d2, p.a, ws);
+                born_far_deposit(in, p.a, p.q, ws, /*atomic=*/true);
               } else {
-                exact_leaf_pair<6>(trees.atoms, mol, trees.qpoints, surf,
-                                   a_node, q_node, ws);
+                born_exact_leaf_pair(in, p.a, p.q, ws, /*atomic=*/true);
               }
             });
       }

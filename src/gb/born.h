@@ -1,4 +1,4 @@
-// born.h -- octree-accelerated r^6 Born radii (Figure 2 of the paper).
+// born.h -- octree-accelerated Born radii (Figure 2 of the paper).
 //
 // Two traversal strategies are provided:
 //
@@ -9,11 +9,16 @@
 //    compute exactly into per-atom accumulators s_a; a final top-down pass
 //    sums ancestor contributions and applies
 //        R_a = max(r_a, ((s_a + sum_ancestors s_A) / 4pi)^(-1/3)).
+//    Each call builds an InteractionPlan over its q-leaf range
+//    (src/gb/interaction_lists.h) and evaluates it with the plan
+//    executor (src/gb/kernels_batch.h).
 //
 //  * born_radii_dualtree: the *simultaneous* two-octree traversal of the
 //    prior shared-memory work [Chowdhury & Bajaj 2010], used by the
 //    OCT_CILK driver (Section IV: "The major difference of our approach
-//    from [6] is that we only traverse one octree instead of two").
+//    from [6] is that we only traverse one octree instead of two"). It
+//    classifies and evaluates in one walk, through the executor's scalar
+//    blocks.
 //
 // Far-field criterion: by default (A, Q) is far when
 //     r_AQ > (r_A + r_Q) * (1 + 2/eps),
@@ -53,17 +58,25 @@ BornOctrees build_born_octrees(const molecule::Molecule& mol,
                                const octree::OctreeParams& params = {},
                                parallel::WorkStealingPool* pool = nullptr);
 
+/// The q-node aggregates ñ_Q = sum w_q n_q of `qtree` (built over
+/// surf.points), one per node: a bottom-up sweep, one level at a time,
+/// parallel within a level when a pool is given. Bit-identical at any
+/// worker count; build_born_octrees uses it for T_Q.
+std::vector<geom::Vec3> q_weighted_normals(
+    const octree::Octree& qtree, const surface::QuadratureSurface& surf,
+    parallel::WorkStealingPool* pool = nullptr);
+
 /// Squared Born far-field factor: (A, Q) is far iff
-/// d^2 > (r_A + r_Q)^2 * born_far_factor2(params). Exported so the
-/// interaction-plan builder applies the identical criterion the fused
-/// traversal uses. Throws std::invalid_argument for eps <= 0.
+/// d^2 > (r_A + r_Q)^2 * born_far_factor2(params). Shared by the plan
+/// builder and the dual-tree walker. Throws std::invalid_argument for
+/// eps <= 0.
 double born_far_factor2(const ApproxParams& params);
 
 /// Mutable accumulators for one Born-radius computation. node_s is
-/// indexed by T_A node id, atom_s by *original* atom id. Accumulation
-/// uses atomic adds, so concurrent workers / leaf tasks may share one
-/// workspace; in the distributed drivers each rank owns a private
-/// workspace that is later merged with MPI_Allreduce.
+/// indexed by T_A node id, atom_s by *original* atom id. Pooled
+/// accumulation uses atomic adds, so concurrent workers / leaf tasks may
+/// share one workspace; in the distributed drivers each rank owns a
+/// private workspace that is later merged with MPI_Allreduce.
 struct BornWorkspace {
   std::vector<double> node_s;
   std::vector<double> atom_s;
@@ -78,27 +91,10 @@ struct BornWorkspace {
         atom_s(atoms_tree.num_points(), 0.0) {}
 };
 
-/// Exact r^6 block of one (T_A leaf, T_Q leaf) pair: accumulates every
-/// q-point of `q_leaf` against every atom of `a_leaf` into ws.atom_s.
-/// This is the identical code path the fused traversal runs for a near
-/// pair; the batched plan executor's scalar engine replays plans through
-/// it so the two engines agree bit-for-bit.
-void born_exact_leaf_pair(const BornOctrees& trees,
-                          const molecule::Molecule& mol,
-                          const surface::QuadratureSurface& surf,
-                          std::uint32_t a_leaf, std::uint32_t q_leaf,
-                          BornWorkspace& ws, bool atomic = true);
-
-/// Far-field monopole deposit of T_Q leaf `q_leaf` into the accumulator
-/// of T_A node `a_node` (ws.node_s[a_node]). Shared with the batched
-/// executor like born_exact_leaf_pair.
-void born_far_deposit(const BornOctrees& trees, std::uint32_t a_node,
-                      std::uint32_t q_leaf, BornWorkspace& ws,
-                      bool atomic = true);
-
 /// APPROX-INTEGRALS for the q-point leaves [qleaf_begin, qleaf_end) of
-/// T_Q (indices into trees.qpoints.leaves()). If `pool` is non-null the
-/// leaves are processed as parallel tasks on it.
+/// T_Q (indices into trees.qpoints.leaves()): builds the Born plan of
+/// that range and evaluates it into `ws`. If `pool` is non-null both
+/// passes run on it.
 void approx_integrals(const BornOctrees& trees,
                       const molecule::Molecule& mol,
                       const surface::QuadratureSurface& surf,
@@ -118,12 +114,23 @@ void push_integrals_to_atoms(const BornOctrees& trees,
                              std::span<double> out_radii,
                              parallel::WorkStealingPool* pool = nullptr);
 
+/// PUSH-INTEGRALS-TO-ATOMS with the radius map of `kernel` (Eq. 4 for
+/// r^6, Eq. 3 for r^4; see born_radius in kernel_primitives.h).
+void push_integrals_to_atoms(const BornOctrees& trees,
+                             const molecule::Molecule& mol,
+                             const BornWorkspace& ws,
+                             std::size_t atom_begin, std::size_t atom_end,
+                             const ApproxParams& params, BornKernel kernel,
+                             std::span<double> out_radii,
+                             parallel::WorkStealingPool* pool = nullptr);
+
 /// Cross-tree APPROX-INTEGRALS: deposits the contributions of the
 /// q-point octree `q_tree` (over `surf`, with per-node aggregates
 /// `q_node_normals`) into the accumulators of `atoms_tree` (over
 /// `atoms_mol`). This is the primitive behind pose re-scoring: the
 /// receptor's self-integrals are cached and only the receptor-vs-ligand
-/// cross terms are recomputed per pose (Section IV-C step 1).
+/// cross terms are recomputed per pose (Section IV-C step 1). Builds a
+/// Born-only cross-tree plan and evaluates it.
 void approx_integrals_cross(const octree::Octree& atoms_tree,
                             const molecule::Molecule& atoms_mol,
                             const octree::Octree& q_tree,
@@ -139,23 +146,13 @@ void collect_integrals_to_atoms(const octree::Octree& atoms_tree,
                                 const BornWorkspace& ws,
                                 std::span<double> out_sums);
 
-/// Convenience: full single-tree computation (all q-leaves, all atoms).
+/// Convenience: full single-tree r^6 computation (all q-leaves, all
+/// atoms) on a Born-only plan.
 BornRadiiResult born_radii_octree(const BornOctrees& trees,
                                   const molecule::Molecule& mol,
                                   const surface::QuadratureSurface& surf,
                                   const ApproxParams& params,
                                   parallel::WorkStealingPool* pool = nullptr);
-
-/// Octree-accelerated r^4 (Coulomb-field approximation, Eq. 3) Born
-/// radii: same near-far traversal with the 1/|p_q - x|^4 kernel and the
-/// final map R_a = max(r_a, 4pi / s). The paper uses r^6 (better for
-/// globular solutes, Section II); the r^4 path exists for comparison
-/// and validates against born_radii_naive_r4.
-BornRadiiResult born_radii_octree_r4(const BornOctrees& trees,
-                                     const molecule::Molecule& mol,
-                                     const surface::QuadratureSurface& surf,
-                                     const ApproxParams& params,
-                                     parallel::WorkStealingPool* pool = nullptr);
 
 /// The dual-tree (simultaneous traversal) variant used by OCT_CILK.
 BornRadiiResult born_radii_dualtree(const BornOctrees& trees,

@@ -32,66 +32,42 @@ GBResult compute_gb_energy(const molecule::Molecule& mol,
   }();
   result.t_tree_build = timer.seconds();
 
-  // The two-phase engine (traverse once into an InteractionPlan, then
-  // run batched kernels) covers the paper's headline configuration:
-  // single-tree traversal with the r^6 Born kernel. The r^4 and
-  // dual-tree variants keep the fused traversal, as does everything
-  // when the OCTGB_FUSED_TRAVERSAL reference flag is set.
-  const bool batched = traversal == Traversal::kSingleTree &&
-                       params.kernel == BornKernel::kSurfaceR6 &&
-                       use_batched_engine();
-  BornRadiiResult born;
-  EpolResult epol;
-  if (batched) {
-    timer.restart();
-    const InteractionPlan plan = [&] {
-      OCTGB_TRACE_SCOPE("calc/plan_build");
-      return build_interaction_plan(trees, params.approx, pool);
-    }();
-    result.t_plan = timer.seconds();
+  // Single-tree runs build one plan for both phases and evaluate it
+  // with either Born kernel. The dual-tree walkers classify and
+  // evaluate in one pass; r^4 has no dual-tree walker, so its Born
+  // phase stays on the plan.
+  const bool dual = traversal == Traversal::kDualTree;
+  const bool dual_born = dual && params.kernel == BornKernel::kSurfaceR6;
+  PlanScope scope;
+  if (dual_born) scope.born_end = 0;
+  if (dual) scope.epol_end = 0;
+  timer.restart();
+  const InteractionPlan plan = [&] {
+    OCTGB_TRACE_SCOPE("calc/plan_build");
+    return build_interaction_plan(trees.atoms, trees.qpoints, params.approx,
+                                  scope, pool);
+  }();
+  result.t_plan = timer.seconds();
 
-    timer.restart();
-    {
-      OCTGB_TRACE_SCOPE("calc/born");
-      born = born_radii_batched(trees, mol, surf, plan, params.approx, pool);
-    }
-    result.t_born = timer.seconds();
+  timer.restart();
+  BornRadiiResult born = [&] {
+    OCTGB_TRACE_SCOPE("calc/born");
+    return dual_born ? born_radii_dualtree(trees, mol, surf, params.approx,
+                                           pool)
+                     : born_radii_batched(trees, mol, surf, plan,
+                                          params.approx, params.kernel, pool);
+  }();
+  result.t_born = timer.seconds();
 
-    timer.restart();
-    {
-      OCTGB_TRACE_SCOPE("calc/epol");
-      epol = epol_batched(trees.atoms, mol, born.radii, plan, params.approx,
-                          params.physics, pool);
-    }
-    result.t_epol = timer.seconds();
-  } else {
-    timer.restart();
-    {
-      OCTGB_TRACE_SCOPE("calc/born");
-      if (params.kernel == BornKernel::kSurfaceR4) {
-        // r^4 path is single-tree only (the dual-tree variant exists for
-        // the paper's r^6 OCT_CILK comparison).
-        born = born_radii_octree_r4(trees, mol, surf, params.approx, pool);
-      } else {
-        born = traversal == Traversal::kSingleTree
-                   ? born_radii_octree(trees, mol, surf, params.approx, pool)
-                   : born_radii_dualtree(trees, mol, surf, params.approx,
-                                         pool);
-      }
-    }
-    result.t_born = timer.seconds();
-
-    timer.restart();
-    {
-      OCTGB_TRACE_SCOPE("calc/epol");
-      epol = traversal == Traversal::kSingleTree
-                 ? epol_octree(trees.atoms, mol, born.radii, params.approx,
-                               params.physics, pool)
-                 : epol_dualtree(trees.atoms, mol, born.radii, params.approx,
-                                 params.physics, pool);
-    }
-    result.t_epol = timer.seconds();
-  }
+  timer.restart();
+  const EpolResult epol = [&] {
+    OCTGB_TRACE_SCOPE("calc/epol");
+    return dual ? epol_dualtree(trees.atoms, mol, born.radii, params.approx,
+                                params.physics, pool)
+                : epol_batched(trees.atoms, mol, born.radii, plan,
+                               params.approx, params.physics, pool);
+  }();
+  result.t_epol = timer.seconds();
 
   result.born_radii = std::move(born.radii);
   result.energy = epol.energy;

@@ -1,9 +1,9 @@
 // calculator.h -- one-call GB polarization energy.
 //
 // The facade runs the full pipeline of the paper's shared-memory
-// algorithm: quadrature surface -> octrees -> r^6 Born radii ->
-// STILL E_pol, with per-phase wall-clock timings for the benchmark
-// harness. Distributed execution (OCT_MPI / OCT_MPI+CILK) lives in
+// algorithm: quadrature surface -> octrees -> interaction plan -> Born
+// radii (r^6 or r^4) -> STILL E_pol, with per-phase wall-clock timings
+// for the benchmark harness. Distributed execution (OCT_MPI / OCT_MPI+CILK) lives in
 // src/runtime; the naive quadratic reference is included here for
 // error measurements.
 #pragma once
@@ -27,14 +27,6 @@ enum class Traversal {
   kDualTree,    // prior shared-memory algorithm [6], used by OCT_CILK
 };
 
-/// Born-radius integral kernel. The paper uses the surface r^6 form
-/// (Eq. 4, better for globular solutes); the r^4 Coulomb-field form
-/// (Eq. 3) is provided for comparison.
-enum class BornKernel {
-  kSurfaceR6,
-  kSurfaceR4,
-};
-
 /// All knobs in one bundle.
 struct CalculatorParams {
   ApproxParams approx;
@@ -51,8 +43,8 @@ struct GBResult {
   std::size_t num_qpoints = 0;
 
   // Per-phase wall-clock seconds. t_plan is the interaction-list
-  // traversal of the two-phase engine; zero on the fused paths (r^4,
-  // dual-tree, or OCTGB_FUSED_TRAVERSAL set).
+  // traversal (both kernels); zero on the dual-tree r^6 path, whose
+  // walkers classify and evaluate in one pass.
   double t_surface = 0.0;
   double t_tree_build = 0.0;
   double t_plan = 0.0;

@@ -5,171 +5,21 @@
 #include <stdexcept>
 
 #include "src/analysis/contracts.h"
-#include "src/gb/kernel_primitives.h"
+#include "src/gb/interaction_lists.h"
+#include "src/gb/kernels_batch.h"
 #include "src/parallel/det_reduce.h"
-#include "src/util/fastmath.h"
 #if defined(OCTGB_VALIDATE_BUILD)
 #include "src/analysis/validate.h"
 #endif
 
 namespace octgb::gb {
 
-namespace {
-
-// Bin index of Born radius R: floor(log_{1+eps}(R / R_min)), clamped.
-int bin_of(double born, const ChargeBins& bins) {
-  if (born <= bins.r_min) return 0;
+int ChargeBins::bin_of(double born) const {
+  if (born <= r_min) return 0;
   // lint:allow(narrow-cast) log-bin truncation is the binning rule itself
-  const int k = static_cast<int>(std::log(born / bins.r_min) *
-                                 bins.inv_log1p);
-  return std::clamp(k, 0, bins.num_bins - 1);
+  const int k = static_cast<int>(std::log(born / r_min) * inv_log1p);
+  return std::clamp(k, 0, num_bins - 1);
 }
-
-// Off-diagonal STILL kernel of leaf V's atom (pv, qv, rv) against the
-// sorted atom positions [ui_begin, ui_end) of leaf U. Branch-free: the
-// caller has already excluded the u == v diagonal by construction.
-template <typename Math>
-double exact_row(const octree::Octree& tree, const molecule::Molecule& mol,
-                 std::span<const double> born_radii, std::uint32_t ui_begin,
-                 std::uint32_t ui_end, const geom::Vec3& pv, double qv,
-                 double rv) {
-  const auto index = tree.point_index();
-  const auto positions = mol.positions();
-  const auto charges = mol.charges();
-  double sum = 0.0;
-  for (std::uint32_t ui = ui_begin; ui < ui_end; ++ui) {
-    const std::uint32_t u = index[ui];
-    const double r2 = geom::distance2(positions[u], pv);
-    const double rr = born_radii[u] * rv;
-    sum += fgb_term<Math>(charges[u], qv, r2, rr);
-  }
-  return sum;
-}
-
-template <typename Math>
-double exact_block(const octree::Octree& tree,
-                   const molecule::Molecule& mol,
-                   std::span<const double> born_radii,
-                   const octree::Node& u_node, const octree::Node& v_node) {
-  const auto index = tree.point_index();
-  const auto positions = mol.positions();
-  const auto charges = mol.charges();
-  // Distinct leaves own disjoint sorted ranges, so u == v can only occur
-  // in the diagonal block where both nodes are the same leaf.
-  const bool diagonal =
-      u_node.begin == v_node.begin && u_node.end == v_node.end;
-  double sum = 0.0;
-  for (std::uint32_t vi = v_node.begin; vi < v_node.end; ++vi) {
-    const std::uint32_t v = index[vi];
-    const geom::Vec3 pv = positions[v];
-    const double qv = charges[v];
-    const double rv = born_radii[v];
-    if (diagonal) {
-      // Split around the self term so the pair loops stay branch-free
-      // while preserving the reference summation order (u < v pairs,
-      // then the diagonal, then u > v pairs).
-      sum += exact_row<Math>(tree, mol, born_radii, u_node.begin, vi, pv,
-                             qv, rv);
-      sum += fgb_self_term(qv, rv);  // f_GB(i,i) = R_i
-      sum += exact_row<Math>(tree, mol, born_radii, vi + 1, u_node.end, pv,
-                             qv, rv);
-    } else {
-      sum += exact_row<Math>(tree, mol, born_radii, u_node.begin,
-                             u_node.end, pv, qv, rv);
-    }
-  }
-  return sum;
-}
-
-template <typename Math>
-double far_block(const ChargeBins& bins, std::uint32_t u_idx,
-                 std::uint32_t v_idx, double d2) {
-  // Only non-empty bin combinations contribute; iterating the CSR lists
-  // (ascending, like the dense scan they replace) skips the mostly-empty
-  // histogram rows without perturbing the summation order.
-  double sum = 0.0;
-  const std::uint32_t u_lo = bins.nz_offset[u_idx];
-  const std::uint32_t u_hi = bins.nz_offset[u_idx + 1];
-  const std::uint32_t v_lo = bins.nz_offset[v_idx];
-  const std::uint32_t v_hi = bins.nz_offset[v_idx + 1];
-  for (std::uint32_t ki = u_lo; ki < u_hi; ++ki) {
-    const int i = bins.nz_bin[ki];
-    const double qu = bins.at(u_idx, i);
-    const double ru = bins.bin_radius[static_cast<std::size_t>(i)];
-    for (std::uint32_t kj = v_lo; kj < v_hi; ++kj) {
-      const int j = bins.nz_bin[kj];
-      const double qv = bins.at(v_idx, j);
-      const double rr = ru * bins.bin_radius[static_cast<std::size_t>(j)];
-      sum += fgb_term<Math>(qu, qv, d2, rr);
-    }
-  }
-  return sum;
-}
-
-// Kernel sum of one leaf V against the subtree rooted at U (iterative).
-// Near (exact) and far (binned) contributions accumulate separately and
-// combine once per leaf: the batched plan executor replays the same
-// pairs through per-class passes, and this split makes the two engines'
-// reduction orders identical.
-template <typename Math>
-double epol_one_leaf(const octree::Octree& tree,
-                     const molecule::Molecule& mol, const ChargeBins& bins,
-                     std::span<const double> born_radii, std::uint32_t vleaf,
-                     double far_mult) {
-  const octree::Node& v_node = tree.node(vleaf);
-  double sum_near = 0.0;
-  double sum_far = 0.0;
-  std::uint32_t stack[256];
-  int top = 0;
-  stack[top++] = tree.root_index();
-  while (top > 0) {
-    const std::uint32_t u_idx = stack[--top];
-    const octree::Node& u_node = tree.node(u_idx);
-    if (u_node.leaf) {
-      sum_near += exact_block<Math>(tree, mol, born_radii, u_node, v_node);
-      continue;
-    }
-    const double s = (u_node.radius + v_node.radius) * far_mult;
-    const double d2 = geom::distance2(u_node.center, v_node.center);
-    if (d2 > s * s && d2 > 0.0) {
-      sum_far += far_block<Math>(bins, u_idx, vleaf, d2);
-      continue;
-    }
-    for (const auto child : u_node.children) {
-      if (child != octree::Node::kInvalid) stack[top++] = child;
-    }
-  }
-  return sum_near + sum_far;
-}
-
-template <typename Math>
-double epol_range(const octree::Octree& tree, const molecule::Molecule& mol,
-                  const ChargeBins& bins,
-                  std::span<const double> born_radii, std::size_t leaf_begin,
-                  std::size_t leaf_end, double far_mult,
-                  parallel::WorkStealingPool* pool) {
-  const auto leaves = tree.leaves();
-  // Per-leaf slots summed in leaf order: bit-identical to the serial
-  // loop at any worker count. The old fetch_add reduction summed
-  // chunk partials in completion order, so the pooled energy drifted
-  // by ulps run-to-run (found by detlint shared-float-accum; regression
-  // test DeterminismOracleTest.EpolBitIdenticalAcrossWorkerCounts).
-  const auto one_leaf = [&](std::size_t i) {
-    return epol_one_leaf<Math>(tree, mol, bins, born_radii, leaves[i],
-                               far_mult);
-  };
-  if (pool != nullptr) {
-    double total = 0.0;
-    pool->run([&] {
-      total = parallel::deterministic_sum(pool, leaf_begin, leaf_end,
-                                          one_leaf);
-    });
-    return total;
-  }
-  return parallel::deterministic_sum(nullptr, leaf_begin, leaf_end, one_leaf);
-}
-
-}  // namespace
 
 ChargeBins build_charge_bins(const octree::Octree& tree,
                              std::span<const double> charges,
@@ -214,7 +64,7 @@ ChargeBins build_charge_bins(const octree::Octree& tree,
     if (node.leaf) {
       for (std::uint32_t ai = node.begin; ai < node.end; ++ai) {
         const std::uint32_t a = index[ai];
-        row[bin_of(born_radii[a], bins)] += charges[a];
+        row[bins.bin_of(born_radii[a])] += charges[a];
       }
     } else {
       for (const auto child : node.children) {
@@ -252,25 +102,6 @@ ChargeBins build_charge_bins(const octree::Octree& tree,
   return bins;
 }
 
-double epol_exact_block(const octree::Octree& tree,
-                        const molecule::Molecule& mol,
-                        std::span<const double> born_radii,
-                        std::uint32_t u_leaf, std::uint32_t v_leaf,
-                        bool approx_math) {
-  const octree::Node& u = tree.node(u_leaf);
-  const octree::Node& v = tree.node(v_leaf);
-  return approx_math
-             ? exact_block<util::ApproxMath>(tree, mol, born_radii, u, v)
-             : exact_block<util::ExactMath>(tree, mol, born_radii, u, v);
-}
-
-double epol_far_block(const ChargeBins& bins, std::uint32_t u_node,
-                      std::uint32_t v_node, double d2, bool approx_math) {
-  return approx_math
-             ? far_block<util::ApproxMath>(bins, u_node, v_node, d2)
-             : far_block<util::ExactMath>(bins, u_node, v_node, d2);
-}
-
 double approx_epol(const octree::Octree& tree,
                    const molecule::Molecule& mol, const ChargeBins& bins,
                    std::span<const double> born_radii,
@@ -278,16 +109,11 @@ double approx_epol(const octree::Octree& tree,
                    const ApproxParams& params,
                    parallel::WorkStealingPool* pool) {
   if (tree.empty()) return 0.0;
-  leaf_end = std::min(leaf_end, tree.num_leaves());
-  if (leaf_begin >= leaf_end) return 0.0;
-  const double far_mult = 1.0 + 2.0 / params.eps_epol;
-  return params.approx_math
-             ? epol_range<util::ApproxMath>(tree, mol, bins, born_radii,
-                                            leaf_begin, leaf_end, far_mult,
-                                            pool)
-             : epol_range<util::ExactMath>(tree, mol, bins, born_radii,
-                                           leaf_begin, leaf_end, far_mult,
-                                           pool);
+  const InteractionPlan plan =
+      build_interaction_plan(tree, octree::Octree{}, params,
+                             PlanScope::epol_only(leaf_begin, leaf_end), pool);
+  return execute_epol_plan(tree, mol, bins, born_radii, plan,
+                           params.approx_math, pool);
 }
 
 EpolResult epol_octree(const octree::Octree& tree,
@@ -295,13 +121,9 @@ EpolResult epol_octree(const octree::Octree& tree,
                        std::span<const double> born_radii,
                        const ApproxParams& params, const Physics& physics,
                        parallel::WorkStealingPool* pool) {
-  const ChargeBins bins =
-      build_charge_bins(tree, mol.charges(), born_radii, params.eps_epol);
-  const double sum = approx_epol(tree, mol, bins, born_radii, 0,
-                                 tree.num_leaves(), params, pool);
-  EpolResult out;
-  out.energy = -0.5 * physics.tau() * physics.coulomb_k * sum;
-  return out;
+  const InteractionPlan plan = build_interaction_plan(
+      tree, octree::Octree{}, params, PlanScope::epol_only(), pool);
+  return epol_batched(tree, mol, born_radii, plan, params, physics, pool);
 }
 
 EpolResult epol_dualtree(const octree::Octree& tree,
@@ -327,16 +149,11 @@ EpolResult epol_dualtree(const octree::Octree& tree,
     // Far boxes need both sides internal-or-leaf alike; the bin
     // histograms exist for every node, so the test is uniform.
     if (d2 > s * s && d2 > 0.0) {
-      return params.approx_math
-                 ? far_block<util::ApproxMath>(bins, pr.u, pr.v, d2)
-                 : far_block<util::ExactMath>(bins, pr.u, pr.v, d2);
+      return epol_far_block(bins, pr.u, pr.v, d2, params.approx_math);
     }
     if (u_node.leaf && v_node.leaf) {
-      return params.approx_math
-                 ? exact_block<util::ApproxMath>(tree, mol, born_radii,
-                                                 u_node, v_node)
-                 : exact_block<util::ExactMath>(tree, mol, born_radii,
-                                                u_node, v_node);
+      return epol_exact_block(tree, mol, born_radii, pr.u, pr.v,
+                              params.approx_math);
     }
     const bool split_u =
         !u_node.leaf && (v_node.leaf || u_node.radius >= v_node.radius);

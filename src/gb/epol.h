@@ -14,7 +14,11 @@
 //  * otherwise recurse into U's children.
 //
 // Summing over all leaves V yields exactly the ordered double sum of
-// Eq. 2; the driver multiplies by -tau/2 * k_coulomb.
+// Eq. 2; the driver multiplies by -tau/2 * k_coulomb. approx_epol and
+// epol_octree build the E_pol plan of their leaf range
+// (src/gb/interaction_lists.h) and evaluate it with the plan executor
+// (src/gb/kernels_batch.h); epol_dualtree walks both trees at once and
+// evaluates through the executor's scalar blocks.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +52,10 @@ struct ChargeBins {
     return q[node * static_cast<std::size_t>(num_bins) +
              static_cast<std::size_t>(k)];
   }
+
+  /// Bin index of Born radius R: floor(log_{1+eps}(R / R_min)), clamped
+  /// to [0, num_bins).
+  int bin_of(double born) const;
 };
 
 /// Builds the per-node histograms for `tree` (the atoms octree) from the
@@ -59,28 +67,10 @@ ChargeBins build_charge_bins(const octree::Octree& tree,
                              std::span<const double> born_radii,
                              double eps, int max_bins = 256);
 
-/// Exact STILL-kernel block of leaf V against leaf U (all ordered pairs,
-/// including the u == v self terms when the two leaves coincide). This
-/// is the identical code path the fused traversal runs for a near pair;
-/// the batched plan executor's scalar engine replays plans through it so
-/// the two engines agree bit-for-bit.
-double epol_exact_block(const octree::Octree& tree,
-                        const molecule::Molecule& mol,
-                        std::span<const double> born_radii,
-                        std::uint32_t u_leaf, std::uint32_t v_leaf,
-                        bool approx_math);
-
-/// Bin-vs-bin far-field kernel of one (U, V) node pair at center
-/// distance^2 d2: sum over non-empty bin combinations of
-/// q_U[i] q_V[j] / f_GB(R_i, R_j). This is the exact function the fused
-/// traversal evaluates inline; the batched plan executor calls it for
-/// its scalar far path so the two engines agree bit-for-bit.
-double epol_far_block(const ChargeBins& bins, std::uint32_t u_node,
-                      std::uint32_t v_node, double d2, bool approx_math);
-
 /// Raw kernel sum (no -tau/2 k prefactor) of the leaves
-/// [leaf_begin, leaf_end) of `tree.leaves()` against the whole tree.
-/// Parallelizes over leaves when `pool` is given.
+/// [leaf_begin, leaf_end) of `tree.leaves()` against the whole tree,
+/// with prebuilt charge bins. Both passes run on `pool` when given; the
+/// sum is bit-identical at any worker count.
 double approx_epol(const octree::Octree& tree,
                    const molecule::Molecule& mol, const ChargeBins& bins,
                    std::span<const double> born_radii,

@@ -25,15 +25,13 @@ struct LocalLists {
   std::vector<NodePair> epol_far;
 };
 
-// Born-phase traversal for one T_Q leaf: identical control flow to
-// approx_integrals_one_leaf in born.cpp (far test first, then leaf,
-// then children pushed in declaration order), but emitting work items
-// instead of evaluating kernels.
+// Born-phase traversal for one T_Q leaf (Figure 2): far test first,
+// then leaf, then children pushed in declaration order.
 void plan_born_leaf(const octree::Octree& atoms_tree,
                     const octree::Octree& q_tree, std::uint32_t qleaf,
                     double factor2, LocalLists& out) {
   const octree::Node& q_node = q_tree.node(qleaf);
-  std::uint32_t stack[256];
+  std::uint32_t stack[256];  // >= 7 * max_depth + 8 entries
   int top = 0;
   stack[top++] = atoms_tree.root_index();
   while (top > 0) {
@@ -53,11 +51,10 @@ void plan_born_leaf(const octree::Octree& atoms_tree,
   }
 }
 
-// E_pol-phase traversal for one T_A leaf V: identical control flow to
-// epol_one_leaf in epol.cpp (leaf check FIRST, then the far test, then
-// children). `vleaf_ord` is V's ordinal in tree.leaves() -- the plan
-// records ordinals so the executor can keep per-leaf accumulators in a
-// flat array.
+// E_pol-phase traversal for one T_A leaf V (Figure 3): leaf check
+// FIRST, then the far test, then children. `vleaf_ord` is V's ordinal
+// in tree.leaves() -- the plan records ordinals so the executor can
+// keep per-leaf accumulators in a flat array.
 void plan_epol_leaf(const octree::Octree& tree, std::uint32_t vleaf_ord,
                     std::uint32_t vleaf, double far_mult, LocalLists& out) {
   const octree::Node& v_node = tree.node(vleaf);
@@ -85,11 +82,13 @@ void plan_epol_leaf(const octree::Octree& tree, std::uint32_t vleaf_ord,
 
 // Splits `items` into chunks of roughly equal estimated cost. Greedy
 // forward scan: close the current chunk once it holds >= total/target
-// cost. Offsets always start at 0 and end at items.size().
+// cost, at the first item boundary where `whole_targets` allows it (no
+// chunk then splits the items of one target). Offsets always start at
+// 0 and end at items.size().
 template <typename CostFn>
 std::vector<std::uint32_t> make_chunks(const std::vector<NodePair>& items,
                                        std::size_t target_chunks,
-                                       CostFn&& cost) {
+                                       bool whole_targets, CostFn&& cost) {
   std::vector<std::uint32_t> offsets{0};
   if (items.empty()) {
     return offsets;
@@ -101,7 +100,8 @@ std::vector<std::uint32_t> make_chunks(const std::vector<NodePair>& items,
   double acc = 0.0;
   for (std::size_t i = 0; i < items.size(); ++i) {
     acc += cost(items[i]);
-    if (acc >= per_chunk && i + 1 < items.size()) {
+    if (acc >= per_chunk && i + 1 < items.size() &&
+        (!whole_targets || items[i + 1].target != items[i].target)) {
       offsets.push_back(static_cast<std::uint32_t>(i + 1));
       acc = 0.0;
     }
@@ -125,39 +125,49 @@ std::size_t InteractionPlan::memory_bytes() const {
          off_bytes(epol_near_chunks) + off_bytes(epol_far_chunks);
 }
 
-InteractionPlan build_interaction_plan(const BornOctrees& trees,
+InteractionPlan build_interaction_plan(const octree::Octree& atoms,
+                                       const octree::Octree& qpoints,
                                        const ApproxParams& params,
+                                       const PlanScope& scope,
                                        parallel::WorkStealingPool* pool) {
   OCTGB_TRACE_SCOPE("gb/plan_build");
-  if (params.eps_epol <= 0.0) {
+  const bool want_born = scope.born_begin < scope.born_end;
+  const bool want_epol = scope.epol_begin < scope.epol_end;
+  // Throws on a bad eps of a phase in scope, even over empty trees.
+  const double factor2 = want_born ? born_far_factor2(params) : 0.0;
+  if (want_epol && params.eps_epol <= 0.0) {
     throw std::invalid_argument("ApproxParams: eps must be > 0");
   }
-  const double factor2 = born_far_factor2(params);  // throws on bad eps_born
   const double far_mult = 1.0 + 2.0 / params.eps_epol;
 
   InteractionPlan plan;
-  const bool have_born = !trees.atoms.empty() && !trees.qpoints.empty();
-  const bool have_epol = !trees.atoms.empty();
-
-  const auto q_leaves =
-      have_born ? trees.qpoints.leaves() : std::span<const std::uint32_t>{};
-  const auto a_leaves =
-      have_epol ? trees.atoms.leaves() : std::span<const std::uint32_t>{};
+  const auto q_leaves = want_born && !atoms.empty()
+                            ? qpoints.leaves()
+                            : std::span<const std::uint32_t>{};
+  const auto a_leaves = atoms.leaves();
+  const auto clamp = [](std::size_t b, std::size_t e, std::size_t n) {
+    e = std::min(e, n);
+    return std::pair{std::min(b, e), e};
+  };
+  const auto [qb, qe] = clamp(scope.born_begin, scope.born_end,
+                              q_leaves.size());
+  const auto [vb, ve] =
+      clamp(scope.epol_begin, scope.epol_end, want_epol ? a_leaves.size() : 0);
+  plan.scope = {qb, qe, vb, ve};
 
   // Both phases iterate source leaves; process them as one index space
-  // [0, nq + na) so a single range partition load-balances both.
-  const std::size_t nq = q_leaves.size();
-  const std::size_t total_leaves = nq + a_leaves.size();
-  if (total_leaves == 0) return plan;
+  // [0, nq + nv) so a single range partition load-balances both.
+  const std::size_t nq = qe - qb;
+  const std::size_t total_leaves = nq + (ve - vb);
 
   auto range_body = [&](std::size_t lo, std::size_t hi, LocalLists& out) {
     for (std::size_t i = lo; i < hi && i < nq; ++i) {
-      plan_born_leaf(trees.atoms, trees.qpoints, q_leaves[i], factor2, out);
+      plan_born_leaf(atoms, qpoints, q_leaves[qb + i], factor2, out);
     }
     for (std::size_t i = std::max(lo, nq); i < hi; ++i) {
-      const std::size_t ord = i - nq;
-      plan_epol_leaf(trees.atoms, static_cast<std::uint32_t>(ord),
-                     a_leaves[ord], far_mult, out);
+      const std::size_t ord = vb + (i - nq);
+      plan_epol_leaf(atoms, static_cast<std::uint32_t>(ord), a_leaves[ord],
+                     far_mult, out);
     }
   };
 
@@ -167,7 +177,7 @@ InteractionPlan build_interaction_plan(const BornOctrees& trees,
       pool == nullptr ? 1
                       : std::min<std::size_t>(total_leaves,
                                               pool->num_workers() * 4);
-  std::vector<LocalLists> buckets(num_ranges);
+  std::vector<LocalLists> buckets(std::max<std::size_t>(1, num_ranges));
   if (num_ranges <= 1) {
     range_body(0, total_leaves, buckets[0]);
   } else {
@@ -204,19 +214,18 @@ InteractionPlan build_interaction_plan(const BornOctrees& trees,
     return static_cast<double>(t.node(n).count());
   };
   plan.born_near_chunks = make_chunks(
-      plan.born_near, kTargetChunks, [&](const NodePair& p) {
-        return count_of(trees.atoms, p.target) *
-               count_of(trees.qpoints, p.source);
+      plan.born_near, kTargetChunks, false, [&](const NodePair& p) {
+        return count_of(atoms, p.target) * count_of(qpoints, p.source);
       });
-  plan.born_far_chunks = make_chunks(plan.born_far, kTargetChunks,
+  plan.born_far_chunks = make_chunks(plan.born_far, kTargetChunks, false,
                                      [](const NodePair&) { return 1.0; });
   plan.epol_near_chunks = make_chunks(
-      plan.epol_near, kTargetChunks, [&](const NodePair& p) {
-        return count_of(trees.atoms, a_leaves[p.target]) *
-               count_of(trees.atoms, p.source);
+      plan.epol_near, kTargetChunks, true, [&](const NodePair& p) {
+        return count_of(atoms, a_leaves[p.target]) *
+               count_of(atoms, p.source);
       });
   plan.epol_far_chunks =
-      make_chunks(plan.epol_far, kTargetChunks,
+      make_chunks(plan.epol_far, kTargetChunks, true,
                   [](const NodePair&) { return kFarBinCost; });
 
 #if defined(OCTGB_VALIDATE_BUILD)
@@ -230,9 +239,17 @@ InteractionPlan build_interaction_plan(const BornOctrees& trees,
     }
   }
 #endif
-  OCTGB_VALIDATE_CHECKPOINT(analysis::validate_plan(trees, plan, params),
-                            "interaction plan");
+  OCTGB_VALIDATE_CHECKPOINT(
+      analysis::validate_plan(atoms, qpoints, plan, params),
+      "interaction plan");
   return plan;
+}
+
+InteractionPlan build_interaction_plan(const BornOctrees& trees,
+                                       const ApproxParams& params,
+                                       parallel::WorkStealingPool* pool) {
+  return build_interaction_plan(trees.atoms, trees.qpoints, params,
+                                PlanScope{}, pool);
 }
 
 }  // namespace octgb::gb

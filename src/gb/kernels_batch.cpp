@@ -59,20 +59,19 @@ struct NodeCenterSoA {
   std::vector<double> qwx, qwy, qwz;       // q-node weighted normals
 };
 
-NodeCenterSoA build_node_center_soa(const BornOctrees& trees) {
+NodeCenterSoA build_node_center_soa(const BornInputs& in) {
   NodeCenterSoA soa;
-  const std::size_t na = trees.atoms.num_nodes();
+  const std::size_t na = in.atoms.num_nodes();
   soa.acx.resize(na);
   soa.acy.resize(na);
   soa.acz.resize(na);
   for (std::size_t n = 0; n < na; ++n) {
-    const geom::Vec3& c = trees.atoms.node(static_cast<std::uint32_t>(n))
-                              .center;
+    const geom::Vec3& c = in.atoms.node(static_cast<std::uint32_t>(n)).center;
     soa.acx[n] = c.x;
     soa.acy[n] = c.y;
     soa.acz[n] = c.z;
   }
-  const std::size_t nq = trees.qpoints.num_nodes();
+  const std::size_t nq = in.qpoints.num_nodes();
   soa.qcx.resize(nq);
   soa.qcy.resize(nq);
   soa.qcz.resize(nq);
@@ -80,12 +79,12 @@ NodeCenterSoA build_node_center_soa(const BornOctrees& trees) {
   soa.qwy.resize(nq);
   soa.qwz.resize(nq);
   for (std::size_t n = 0; n < nq; ++n) {
-    const geom::Vec3& c = trees.qpoints.node(static_cast<std::uint32_t>(n))
-                              .center;
+    const geom::Vec3& c =
+        in.qpoints.node(static_cast<std::uint32_t>(n)).center;
     soa.qcx[n] = c.x;
     soa.qcy[n] = c.y;
     soa.qcz[n] = c.z;
-    const geom::Vec3& w = trees.q_weighted_normal[n];
+    const geom::Vec3& w = in.q_normals[n];
     soa.qwx[n] = w.x;
     soa.qwy[n] = w.y;
     soa.qwz[n] = w.z;
@@ -104,6 +103,143 @@ double epol_row_scalar(const EpolSoA& soa, std::uint32_t ub,
     sum += fgb_term<Math>(soa.q[ui], qv, d.norm2(), soa.born[ui] * rv);
   }
   return sum;
+}
+
+// Exact kernel contributions of q-leaf Q to every atom of atom-leaf A.
+template <int Power>
+void exact_leaf_pair(const BornInputs& in, const octree::Node& a_node,
+                     const octree::Node& q_node, BornWorkspace& ws,
+                     bool atomic) {
+  const auto a_index = in.atoms.point_index();
+  const auto q_index = in.qpoints.point_index();
+  const auto positions = in.mol.positions();
+  for (std::uint32_t ai = a_node.begin; ai < a_node.end; ++ai) {
+    const std::uint32_t a = a_index[ai];
+    const geom::Vec3 x = positions[a];
+    double acc = 0.0;
+    for (std::uint32_t qi = q_node.begin; qi < q_node.end; ++qi) {
+      const std::uint32_t q = q_index[qi];
+      acc += born_term<Power>(in.surf.points[q], in.surf.normals[q],
+                              in.surf.weights[q], x);
+    }
+    kernel_add(ws.atom_s[a], acc, atomic);
+  }
+}
+
+// Far-field monopole deposit of q-node Q into atom-node A's accumulator.
+// Recomputes the distance expression the traversal classified with.
+template <int Power>
+void far_deposit(const BornInputs& in, std::uint32_t a_idx,
+                 std::uint32_t q_idx, BornWorkspace& ws, bool atomic) {
+  const octree::Node& a_node = in.atoms.node(a_idx);
+  const octree::Node& q_node = in.qpoints.node(q_idx);
+  const double d2 = geom::distance2(a_node.center, q_node.center);
+  const geom::Vec3 diff = q_node.center - a_node.center;
+  kernel_add(ws.node_s[a_idx],
+             in.q_normals[q_idx].dot(diff) * inv_pow<Power>(d2), atomic);
+}
+
+// Off-diagonal STILL kernel of leaf V's atom (pv, qv, rv) against the
+// sorted atom positions [ui_begin, ui_end) of leaf U. Branch-free: the
+// caller has already excluded the u == v diagonal by construction.
+template <typename Math>
+double exact_row(const octree::Octree& tree, const molecule::Molecule& mol,
+                 std::span<const double> born_radii, std::uint32_t ui_begin,
+                 std::uint32_t ui_end, const geom::Vec3& pv, double qv,
+                 double rv) {
+  const auto index = tree.point_index();
+  const auto positions = mol.positions();
+  const auto charges = mol.charges();
+  double sum = 0.0;
+  for (std::uint32_t ui = ui_begin; ui < ui_end; ++ui) {
+    const std::uint32_t u = index[ui];
+    const double r2 = geom::distance2(positions[u], pv);
+    const double rr = born_radii[u] * rv;
+    sum += fgb_term<Math>(charges[u], qv, r2, rr);
+  }
+  return sum;
+}
+
+template <typename Math>
+double exact_block(const octree::Octree& tree,
+                   const molecule::Molecule& mol,
+                   std::span<const double> born_radii,
+                   const octree::Node& u_node, const octree::Node& v_node) {
+  const auto index = tree.point_index();
+  const auto positions = mol.positions();
+  const auto charges = mol.charges();
+  // Distinct leaves own disjoint sorted ranges, so u == v can only occur
+  // in the diagonal block where both nodes are the same leaf.
+  const bool diagonal =
+      u_node.begin == v_node.begin && u_node.end == v_node.end;
+  double sum = 0.0;
+  for (std::uint32_t vi = v_node.begin; vi < v_node.end; ++vi) {
+    const std::uint32_t v = index[vi];
+    const geom::Vec3 pv = positions[v];
+    const double qv = charges[v];
+    const double rv = born_radii[v];
+    if (diagonal) {
+      // Split around the self term so the pair loops stay branch-free
+      // while preserving the reference summation order (u < v pairs,
+      // then the diagonal, then u > v pairs).
+      sum += exact_row<Math>(tree, mol, born_radii, u_node.begin, vi, pv,
+                             qv, rv);
+      sum += fgb_self_term(qv, rv);  // f_GB(i,i) = R_i
+      sum += exact_row<Math>(tree, mol, born_radii, vi + 1, u_node.end, pv,
+                             qv, rv);
+    } else {
+      sum += exact_row<Math>(tree, mol, born_radii, u_node.begin,
+                             u_node.end, pv, qv, rv);
+    }
+  }
+  return sum;
+}
+
+template <typename Math>
+double far_block(const ChargeBins& bins, std::uint32_t u_idx,
+                 std::uint32_t v_idx, double d2) {
+  // Only non-empty bin combinations contribute; iterating the CSR lists
+  // (ascending) skips the mostly-empty histogram rows.
+  double sum = 0.0;
+  const std::uint32_t u_lo = bins.nz_offset[u_idx];
+  const std::uint32_t u_hi = bins.nz_offset[u_idx + 1];
+  const std::uint32_t v_lo = bins.nz_offset[v_idx];
+  const std::uint32_t v_hi = bins.nz_offset[v_idx + 1];
+  for (std::uint32_t ki = u_lo; ki < u_hi; ++ki) {
+    const int i = bins.nz_bin[ki];
+    const double qu = bins.at(u_idx, i);
+    const double ru = bins.bin_radius[static_cast<std::size_t>(i)];
+    for (std::uint32_t kj = v_lo; kj < v_hi; ++kj) {
+      const int j = bins.nz_bin[kj];
+      const double qv = bins.at(v_idx, j);
+      const double rr = ru * bins.bin_radius[static_cast<std::size_t>(j)];
+      sum += fgb_term<Math>(qu, qv, d2, rr);
+    }
+  }
+  return sum;
+}
+
+// Scalar Born engine: every plan item through the blocks above.
+template <int Power>
+void born_scalar(const BornInputs& in, const InteractionPlan& plan,
+                 BornWorkspace& ws, parallel::WorkStealingPool* pool,
+                 bool atomic) {
+  run_chunks(pool, plan.born_near_chunks,
+             [&](std::uint32_t b, std::uint32_t e) {
+               for (std::uint32_t i = b; i < e; ++i) {
+                 const NodePair p = plan.born_near[i];
+                 exact_leaf_pair<Power>(in, in.atoms.node(p.target),
+                                        in.qpoints.node(p.source), ws,
+                                        atomic);
+               }
+             });
+  run_chunks(pool, plan.born_far_chunks,
+             [&](std::uint32_t b, std::uint32_t e) {
+               for (std::uint32_t i = b; i < e; ++i) {
+                 const NodePair p = plan.born_far[i];
+                 far_deposit<Power>(in, p.target, p.source, ws, atomic);
+               }
+             });
 }
 
 }  // namespace
@@ -125,16 +261,10 @@ bool simd_enabled() {
   return simd_available() && !util::env_flag("OCTGB_NO_SIMD");
 }
 
-bool use_batched_engine() {
-  return !util::env_flag("OCTGB_FUSED_TRAVERSAL");
-}
-
-BornSoA build_born_soa(const BornOctrees& trees,
-                       const molecule::Molecule& mol,
-                       const surface::QuadratureSurface& surf) {
+BornSoA build_born_soa(const BornInputs& in) {
   BornSoA soa;
-  const auto a_index = trees.atoms.point_index();
-  const auto positions = mol.positions();
+  const auto a_index = in.atoms.point_index();
+  const auto positions = in.mol.positions();
   soa.ax.resize(a_index.size());
   soa.ay.resize(a_index.size());
   soa.az.resize(a_index.size());
@@ -144,7 +274,8 @@ BornSoA build_born_soa(const BornOctrees& trees,
     soa.ay[i] = p.y;
     soa.az[i] = p.z;
   }
-  const auto q_index = trees.qpoints.point_index();
+  const auto q_index = in.qpoints.point_index();
+  const surface::QuadratureSurface& surf = in.surf;
   soa.qx.resize(q_index.size());
   soa.qy.resize(q_index.size());
   soa.qz.resize(q_index.size());
@@ -263,13 +394,40 @@ double epol_far_bins(const ChargeBins& bins, std::uint32_t u_node,
   return epol_far_block(bins, u_node, v_node, d2, approx_math);
 }
 
-BornRadiiResult born_radii_batched(const BornOctrees& trees,
-                                   const molecule::Molecule& mol,
-                                   const surface::QuadratureSurface& surf,
-                                   const InteractionPlan& plan,
-                                   const ApproxParams& params,
-                                   parallel::WorkStealingPool* pool,
-                                   SimdMode mode) {
+void born_exact_leaf_pair(const BornInputs& in, std::uint32_t a_leaf,
+                          std::uint32_t q_leaf, BornWorkspace& ws,
+                          bool atomic) {
+  exact_leaf_pair<6>(in, in.atoms.node(a_leaf), in.qpoints.node(q_leaf), ws,
+                     atomic);
+}
+
+void born_far_deposit(const BornInputs& in, std::uint32_t a_node,
+                      std::uint32_t q_node, BornWorkspace& ws, bool atomic) {
+  far_deposit<6>(in, a_node, q_node, ws, atomic);
+}
+
+double epol_exact_block(const octree::Octree& tree,
+                        const molecule::Molecule& mol,
+                        std::span<const double> born_radii,
+                        std::uint32_t u_leaf, std::uint32_t v_leaf,
+                        bool approx_math) {
+  const octree::Node& u = tree.node(u_leaf);
+  const octree::Node& v = tree.node(v_leaf);
+  return approx_math
+             ? exact_block<util::ApproxMath>(tree, mol, born_radii, u, v)
+             : exact_block<util::ExactMath>(tree, mol, born_radii, u, v);
+}
+
+double epol_far_block(const ChargeBins& bins, std::uint32_t u_node,
+                      std::uint32_t v_node, double d2, bool approx_math) {
+  return approx_math
+             ? far_block<util::ApproxMath>(bins, u_node, v_node, d2)
+             : far_block<util::ExactMath>(bins, u_node, v_node, d2);
+}
+
+void execute_born_plan(const BornInputs& in, const InteractionPlan& plan,
+                       BornKernel kernel, BornWorkspace& ws,
+                       parallel::WorkStealingPool* pool, SimdMode mode) {
   OCTGB_TRACE_SCOPE("gb/born_kernels");
   // Dispatch preconditions: the chunk tables must span their pair lists
   // exactly, or run_chunks would silently skip (or overrun) work items.
@@ -279,11 +437,15 @@ BornRadiiResult born_radii_batched(const BornOctrees& trees,
   OCTGB_REQUIRE(plan.born_far_chunks.empty() ||
                     plan.born_far_chunks.back() == plan.born_far.size(),
                 "born_far chunk table does not cover its pair list");
-  OCTGB_REQUIRE(mol.size() == trees.atoms.num_points() &&
-                    surf.points.size() == trees.qpoints.num_points(),
+  OCTGB_REQUIRE(in.mol.size() == in.atoms.num_points() &&
+                    in.surf.points.size() == in.qpoints.num_points() &&
+                    in.q_normals.size() == in.qpoints.num_nodes() &&
+                    ws.node_s.size() == in.atoms.num_nodes() &&
+                    ws.atom_s.size() == in.atoms.num_points(),
                 "plan/tree built over different molecule or surface");
-  BornWorkspace ws(trees);
-  const bool use_simd = mode == SimdMode::kAuto && simd_enabled();
+  // The SIMD rows implement the r^6 kernel only.
+  const bool use_simd = kernel == BornKernel::kSurfaceR6 &&
+                        mode == SimdMode::kAuto && simd_enabled();
 #if defined(OCTGB_TELEMETRY_ENABLED)
   OCTGB_COUNTER_ADD("gb.born_near_pairs", plan.born_near.size());
   OCTGB_COUNTER_ADD("gb.born_far_pairs", plan.born_far.size());
@@ -292,7 +454,7 @@ BornRadiiResult born_radii_batched(const BornOctrees& trees,
     // list is tiny next to the rows themselves, so this pass is cheap.
     std::uint64_t rows = 0;
     for (const NodePair p : plan.born_near) {
-      rows += trees.atoms.node(p.target).count();
+      rows += in.atoms.node(p.target).count();
     }
     if (use_simd) {
       OCTGB_COUNTER_ADD("gb.born_rows_simd", rows);
@@ -305,96 +467,73 @@ BornRadiiResult born_radii_batched(const BornOctrees& trees,
   // can skip the lock prefix -- on million-item far lists the CAS loop
   // is the dominant serial cost, not the arithmetic.
   const bool atomic = pool != nullptr;
-  if (use_simd) {
-    const BornSoA soa = build_born_soa(trees, mol, surf);
-    const auto a_index = trees.atoms.point_index();
-    run_chunks(pool, plan.born_near_chunks,
-               [&](std::uint32_t b, std::uint32_t e) {
-                 for (std::uint32_t i = b; i < e; ++i) {
-                   const NodePair p = plan.born_near[i];
-                   const octree::Node& a_node = trees.atoms.node(p.target);
-                   const octree::Node& q_node =
-                       trees.qpoints.node(p.source);
-                   for (std::uint32_t ai = a_node.begin; ai < a_node.end;
-                        ++ai) {
-                     const double acc =
-                         born_row(soa, q_node.begin, q_node.end,
-                                  soa.ax[ai], soa.ay[ai], soa.az[ai],
-                                  /*use_simd=*/true);
-                     kernel_add(ws.atom_s[a_index[ai]], acc, atomic);
-                   }
-                 }
-               });
-  } else {
-    run_chunks(pool, plan.born_near_chunks,
-               [&](std::uint32_t b, std::uint32_t e) {
-                 for (std::uint32_t i = b; i < e; ++i) {
-                   const NodePair p = plan.born_near[i];
-                   born_exact_leaf_pair(trees, mol, surf, p.target,
-                                        p.source, ws, atomic);
-                 }
-               });
+  if (!use_simd) {
+    if (kernel == BornKernel::kSurfaceR4) {
+      born_scalar<4>(in, plan, ws, pool, atomic);
+    } else {
+      born_scalar<6>(in, plan, ws, pool, atomic);
+    }
+    return;
   }
 #ifdef OCTGB_SIMD_AVX2
-  if (use_simd) {
-    // The far list is the bulk of the plan (one monopole deposit per
-    // item), so it is worth a dedicated 4-item-per-pass kernel. The
-    // traversal emits born_far grouped by source q-leaf, so the list is
-    // runs of hundreds of items with a constant source: hoist the six
-    // q-side loads out of each run and vectorize only the target
-    // gathers. The deposit is pure sub/mul/add/div, which the AVX2 row
-    // reproduces lane-exactly -- SIMD far deposits are bit-identical to
-    // the fused engine's, not just within tolerance (born_far_run_avx2).
-    const NodeCenterSoA far = build_node_center_soa(trees);
-    static_assert(sizeof(NodePair) == 2 * sizeof(std::uint32_t));
-    run_chunks(pool, plan.born_far_chunks,
-               [&](std::uint32_t b, std::uint32_t e) {
-                 std::uint32_t i = b;
-                 while (i < e) {
-                   const std::uint32_t src = plan.born_far[i].source;
-                   std::uint32_t j = i + 1;
-                   while (j < e && plan.born_far[j].source == src) ++j;
-                   const auto* pairs =
-                       reinterpret_cast<const std::uint32_t*>(
-                           plan.born_far.data() + i);
-                   const std::uint32_t done = simd::born_far_run_avx2(
-                       pairs, j - i, far.acx.data(), far.acy.data(),
-                       far.acz.data(), far.qcx[src], far.qcy[src],
-                       far.qcz[src], far.qwx[src], far.qwy[src],
-                       far.qwz[src], ws.node_s.data(), atomic);
-                   for (std::uint32_t k = i + done; k < j; ++k) {
-                     born_far_deposit(trees, plan.born_far[k].target, src,
-                                      ws, atomic);
-                   }
-                   i = j;
+  const BornSoA soa = build_born_soa(in);
+  const auto a_index = in.atoms.point_index();
+  run_chunks(pool, plan.born_near_chunks,
+             [&](std::uint32_t b, std::uint32_t e) {
+               for (std::uint32_t i = b; i < e; ++i) {
+                 const NodePair p = plan.born_near[i];
+                 const octree::Node& a_node = in.atoms.node(p.target);
+                 const octree::Node& q_node = in.qpoints.node(p.source);
+                 for (std::uint32_t ai = a_node.begin; ai < a_node.end;
+                      ++ai) {
+                   const double acc =
+                       born_row(soa, q_node.begin, q_node.end, soa.ax[ai],
+                                soa.ay[ai], soa.az[ai], /*use_simd=*/true);
+                   kernel_add(ws.atom_s[a_index[ai]], acc, atomic);
                  }
-               });
-  } else
+               }
+             });
+  // The far list is the bulk of the plan (one monopole deposit per
+  // item), so it is worth a dedicated 4-item-per-pass kernel. The
+  // traversal emits born_far grouped by source q-leaf, so the list is
+  // runs of hundreds of items with a constant source: hoist the six
+  // q-side loads out of each run and vectorize only the target
+  // gathers. The deposit is pure sub/mul/add/div, which the AVX2 row
+  // reproduces lane-exactly -- SIMD far deposits are bit-identical to
+  // the scalar engine's, not just within tolerance (born_far_run_avx2).
+  const NodeCenterSoA far = build_node_center_soa(in);
+  static_assert(sizeof(NodePair) == 2 * sizeof(std::uint32_t));
+  run_chunks(pool, plan.born_far_chunks,
+             [&](std::uint32_t b, std::uint32_t e) {
+               std::uint32_t i = b;
+               while (i < e) {
+                 const std::uint32_t src = plan.born_far[i].source;
+                 std::uint32_t j = i + 1;
+                 while (j < e && plan.born_far[j].source == src) ++j;
+                 const auto* pairs = reinterpret_cast<const std::uint32_t*>(
+                     plan.born_far.data() + i);
+                 const std::uint32_t done = simd::born_far_run_avx2(
+                     pairs, j - i, far.acx.data(), far.acy.data(),
+                     far.acz.data(), far.qcx[src], far.qcy[src],
+                     far.qcz[src], far.qwx[src], far.qwy[src],
+                     far.qwz[src], ws.node_s.data(), atomic);
+                 for (std::uint32_t k = i + done; k < j; ++k) {
+                   far_deposit<6>(in, plan.born_far[k].target, src, ws,
+                                  atomic);
+                 }
+                 i = j;
+               }
+             });
 #endif
-  {
-    run_chunks(pool, plan.born_far_chunks,
-               [&](std::uint32_t b, std::uint32_t e) {
-                 for (std::uint32_t i = b; i < e; ++i) {
-                   const NodePair p = plan.born_far[i];
-                   born_far_deposit(trees, p.target, p.source, ws, atomic);
-                 }
-               });
-  }
-  BornRadiiResult out;
-  out.radii.assign(mol.size(), 0.0);
-  push_integrals_to_atoms(trees, mol, ws, 0, mol.size(), params,
-                          out.radii, pool);
-  return out;
 }
 
-EpolResult epol_batched(const octree::Octree& tree,
-                        const molecule::Molecule& mol,
-                        std::span<const double> born_radii,
-                        const InteractionPlan& plan,
-                        const ApproxParams& params, const Physics& physics,
-                        parallel::WorkStealingPool* pool, SimdMode mode) {
-  EpolResult out;
-  if (tree.empty()) return out;
+double execute_epol_plan(const octree::Octree& tree,
+                         const molecule::Molecule& mol,
+                         const ChargeBins& bins,
+                         std::span<const double> born_radii,
+                         const InteractionPlan& plan, bool approx_math,
+                         parallel::WorkStealingPool* pool, SimdMode mode) {
+  if (tree.empty()) return 0.0;
   OCTGB_TRACE_SCOPE("gb/epol_kernels");
   OCTGB_REQUIRE(plan.epol_near_chunks.empty() ||
                     plan.epol_near_chunks.back() == plan.epol_near.size(),
@@ -403,18 +542,16 @@ EpolResult epol_batched(const octree::Octree& tree,
                     plan.epol_far_chunks.back() == plan.epol_far.size(),
                 "epol_far chunk table does not cover its pair list");
   OCTGB_REQUIRE(born_radii.size() == tree.num_points() &&
-                    mol.size() == tree.num_points(),
-                "born radii / molecule size mismatch with tree");
-  const ChargeBins bins =
-      build_charge_bins(tree, mol.charges(), born_radii, params.eps_epol);
+                    mol.size() == tree.num_points() &&
+                    plan.scope.epol_end <= tree.num_leaves(),
+                "born radii / molecule / plan mismatch with tree");
   const auto leaves = tree.leaves();
-  // One near and one far accumulator per leaf V -- the same
-  // two-accumulator split epol_one_leaf keeps, so the final leaf-order
-  // reduction reproduces the fused engine's summation order exactly.
+  // One near and one far accumulator per leaf V. Chunks never split a
+  // v-leaf's items, so each slot has one writer and plain stores keep
+  // the per-leaf sums in plan order at any worker count.
   std::vector<double> near_acc(leaves.size(), 0.0);
   std::vector<double> far_acc(leaves.size(), 0.0);
   const bool use_simd = mode == SimdMode::kAuto && simd_enabled();
-  const bool atomic = pool != nullptr;
 #if defined(OCTGB_TELEMETRY_ENABLED)
   OCTGB_COUNTER_ADD("gb.epol_near_pairs", plan.epol_near.size());
   OCTGB_COUNTER_ADD("gb.epol_far_pairs", plan.epol_far.size());
@@ -447,11 +584,10 @@ EpolResult epol_batched(const octree::Octree& tree,
             const octree::Node& v_node = tree.node(leaves[p.target]);
             const bool diagonal = u_node.begin == v_node.begin &&
                                   u_node.end == v_node.end;
-            const double acc = simd::epol_near_block_avx2(
+            near_acc[p.target] += simd::epol_near_block_avx2(
                 soa.x.data(), soa.y.data(), soa.z.data(), soa.q.data(),
                 soa.born.data(), u_node.begin, u_node.end, v_node.begin,
-                v_node.end, diagonal, params.approx_math);
-            kernel_add(near_acc[p.target], acc, atomic);
+                v_node.end, diagonal, approx_math);
           }
         });
   } else
@@ -461,12 +597,9 @@ EpolResult epol_batched(const octree::Octree& tree,
                [&](std::uint32_t b, std::uint32_t e) {
                  for (std::uint32_t i = b; i < e; ++i) {
                    const NodePair p = plan.epol_near[i];
-                   kernel_add(
-                       near_acc[p.target],
+                   near_acc[p.target] +=
                        epol_exact_block(tree, mol, born_radii, p.source,
-                                        leaves[p.target],
-                                        params.approx_math),
-                       atomic);
+                                        leaves[p.target], approx_math);
                  }
                });
   }
@@ -478,21 +611,63 @@ EpolResult epol_batched(const octree::Octree& tree,
                  const octree::Node& u_node = tree.node(p.source);
                  const octree::Node& v_node = tree.node(leaves[p.target]);
                  // Same distance expression the traversal classified
-                 // with, so the kernel value matches the fused path's.
+                 // with.
                  const double d2 =
                      geom::distance2(u_node.center, v_node.center);
-                 kernel_add(
-                     far_acc[p.target],
+                 far_acc[p.target] +=
                      epol_far_bins(bins, p.source, leaves[p.target], d2,
-                                   params.approx_math, use_simd),
-                     atomic);
+                                   approx_math, use_simd);
                }
              });
 
   double sum = 0.0;
-  for (std::size_t v = 0; v < leaves.size(); ++v) {
+  for (std::size_t v = plan.scope.epol_begin; v < plan.scope.epol_end; ++v) {
     sum += near_acc[v] + far_acc[v];
   }
+  return sum;
+}
+
+BornRadiiResult born_radii_batched(const BornOctrees& trees,
+                                   const molecule::Molecule& mol,
+                                   const surface::QuadratureSurface& surf,
+                                   const InteractionPlan& plan,
+                                   const ApproxParams& params,
+                                   parallel::WorkStealingPool* pool,
+                                   SimdMode mode) {
+  return born_radii_batched(trees, mol, surf, plan, params,
+                            BornKernel::kSurfaceR6, pool, mode);
+}
+
+BornRadiiResult born_radii_batched(const BornOctrees& trees,
+                                   const molecule::Molecule& mol,
+                                   const surface::QuadratureSurface& surf,
+                                   const InteractionPlan& plan,
+                                   const ApproxParams& params,
+                                   BornKernel kernel,
+                                   parallel::WorkStealingPool* pool,
+                                   SimdMode mode) {
+  BornWorkspace ws(trees);
+  execute_born_plan(born_inputs(trees, mol, surf), plan, kernel, ws, pool,
+                    mode);
+  BornRadiiResult out;
+  out.radii.assign(mol.size(), 0.0);
+  push_integrals_to_atoms(trees, mol, ws, 0, mol.size(), params, kernel,
+                          out.radii, pool);
+  return out;
+}
+
+EpolResult epol_batched(const octree::Octree& tree,
+                        const molecule::Molecule& mol,
+                        std::span<const double> born_radii,
+                        const InteractionPlan& plan,
+                        const ApproxParams& params, const Physics& physics,
+                        parallel::WorkStealingPool* pool, SimdMode mode) {
+  EpolResult out;
+  if (tree.empty()) return out;
+  const ChargeBins bins =
+      build_charge_bins(tree, mol.charges(), born_radii, params.eps_epol);
+  const double sum = execute_epol_plan(tree, mol, bins, born_radii, plan,
+                                       params.approx_math, pool, mode);
   out.energy = -0.5 * physics.tau() * physics.coulomb_k * sum;
   return out;
 }

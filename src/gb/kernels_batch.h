@@ -1,25 +1,34 @@
-// kernels_batch.h -- phase 2 of the two-phase GB execution engine.
+// kernels_batch.h -- phase 2 of the GB execution engine.
 //
-// Executes an InteractionPlan (src/gb/interaction_lists.h) instead of
-// re-traversing the octrees. Two engines share the plan:
+// Evaluates an InteractionPlan (src/gb/interaction_lists.h); this is the
+// only code that evaluates the single-tree Born and E_pol phases. Two
+// engines share the plan:
 //
-//  * scalar: replays every work item through the *exported fused-engine
-//    blocks* (born_exact_leaf_pair, epol_exact_block, epol_far_block),
-//    so a serial replay is bit-for-bit identical to the fused traversal
-//    -- same expression trees, same summation order;
+//  * scalar: evaluates every work item through the block functions
+//    below (the dual-tree walkers reuse them), which share the
+//    expression trees of kernel_primitives.h. A serial scalar run sums
+//    every accumulator in plan order, which is the visit order of
+//    Figures 2 and 3; its bits are pinned by golden digests
+//    (tests/kernels_batch_test);
 //  * SIMD: gathers atoms / q-points once into structure-of-arrays
 //    scratch permuted to Morton order (tree.point_index()), then runs
 //    4-wide AVX2+FMA row kernels over the contiguous leaf ranges. The
 //    approximate-math functions (util/fastmath.h) are vectorized with
 //    lane-identical algorithms, so per-element values match the scalar
 //    engine and only the reduction order differs (relative error
-//    ~1e-15, asserted < 1e-10 by tests/kernels_batch_test).
+//    ~1e-15, asserted < 1e-10 by tests/kernels_batch_test). The SIMD
+//    rows are r^6 only; the r^4 Born kernel runs the scalar engine.
 //
 // Engine selection is runtime: the AVX2 code is compiled into its own
 // TU with -mavx2 -mfma (CMake option OCTGB_SIMD, default ON) and only
 // entered when the CPU reports AVX2+FMA and OCTGB_NO_SIMD is not set.
-// SimdMode::kForceScalar pins the scalar engine regardless, which is
-// what the golden tests and the A/B benches use.
+// SimdMode::kForceScalar pins the scalar engine regardless.
+//
+// Pooled execution: E_pol chunks own whole v-leaves, so its per-leaf
+// accumulators take plain stores and the pooled energy is bit-identical
+// to the serial one at any worker count. Born lists are source-major, so
+// pooled Born deposits use relaxed atomic adds and are reproducible to
+// rounding only.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +39,7 @@
 #include "src/gb/epol.h"
 #include "src/gb/interaction_lists.h"
 #include "src/gb/types.h"
+#include "src/geom/vec3.h"
 #include "src/molecule/molecule.h"
 #include "src/octree/octree.h"
 #include "src/parallel/pool.h"
@@ -40,7 +50,7 @@ namespace octgb::gb {
 /// Engine choice for the plan executors.
 enum class SimdMode {
   kAuto,         // SIMD when compiled in, CPU-supported and not disabled
-  kForceScalar,  // bit-exact fused-equivalent replay
+  kForceScalar,  // the scalar engine, whatever the build and CPU
 };
 
 /// True when the library was built with the AVX2 TU (OCTGB_SIMD=ON).
@@ -53,13 +63,23 @@ bool simd_available();
 /// OCTGB_NO_SIMD environment flag is not set.
 bool simd_enabled();
 
-/// True unless the OCTGB_FUSED_TRAVERSAL environment flag is set. The
-/// calculator and the serving layer consult this to pick between the
-/// two-phase engine (default) and the original fused traversal, which
-/// is kept as a reference path; the batched engine only ever applies to
-/// the single-tree r^6 pipeline either way (r^4 and dual-tree stay
-/// fused).
-bool use_batched_engine();
+/// The operands of one Born phase: the atoms whose integrals accumulate
+/// and the q-point surface they integrate over, each with its octree.
+/// For a molecule's own radii both sides come from one BornOctrees
+/// (born_inputs); for docking cross terms they come from two molecules.
+struct BornInputs {
+  const octree::Octree& atoms;
+  const molecule::Molecule& mol;  // positions of `atoms`' points
+  const octree::Octree& qpoints;
+  std::span<const geom::Vec3> q_normals;  // per-qpoints-node sum w_q n_q
+  const surface::QuadratureSurface& surf;  // the points of `qpoints`
+};
+
+inline BornInputs born_inputs(const BornOctrees& trees,
+                              const molecule::Molecule& mol,
+                              const surface::QuadratureSurface& surf) {
+  return {trees.atoms, mol, trees.qpoints, trees.q_weighted_normal, surf};
+}
 
 /// SoA scratch for the Born phase: atom centers in T_A Morton order and
 /// q-point data in T_Q Morton order, so every leaf's data is one
@@ -70,9 +90,7 @@ struct BornSoA {
   std::vector<double> qnx, qny, qnz, qw;        // normals and weights
 };
 
-BornSoA build_born_soa(const BornOctrees& trees,
-                       const molecule::Molecule& mol,
-                       const surface::QuadratureSurface& surf);
+BornSoA build_born_soa(const BornInputs& in);
 
 /// SoA scratch for the E_pol phase: positions, charges and Born radii
 /// in T_A Morton order.
@@ -88,8 +106,7 @@ EpolSoA build_epol_soa(const octree::Octree& tree,
 // to the scalar loop when the AVX2 engine is unavailable.
 
 /// Born r^6 row: sum over q-points [qb, qe) of the SoA against one atom
-/// at (x, y, z). Scalar path evaluates born_term exactly as the fused
-/// engine does.
+/// at (x, y, z). The scalar path evaluates born_term<6>.
 double born_row(const BornSoA& soa, std::uint32_t qb, std::uint32_t qe,
                 double x, double y, double z, bool use_simd);
 
@@ -100,16 +117,63 @@ double epol_row(const EpolSoA& soa, std::uint32_t ub, std::uint32_t ue,
                 double px, double py, double pz, double qv, double rv,
                 bool approx_math, bool use_simd);
 
-/// Bin-vs-bin far block (SIMD variant of epol_far_block): packs the
-/// non-empty bins of v once, then streams u's bins 4-wide.
+/// Bin-vs-bin far block: with use_simd, packs the non-empty bins of v
+/// once and streams u's bins 4-wide; otherwise epol_far_block.
 double epol_far_bins(const ChargeBins& bins, std::uint32_t u_node,
                      std::uint32_t v_node, double d2, bool approx_math,
                      bool use_simd);
 
-/// Plan-driven Born radii: replays plan.born_near / plan.born_far into a
-/// workspace and runs the shared PUSH-INTEGRALS-TO-ATOMS sweep. With
-/// SimdMode::kForceScalar (or SIMD unavailable) a serial run reproduces
-/// born_radii_octree bit-for-bit.
+// Scalar blocks: one plan item each. The dual-tree walkers (born.cpp,
+// epol.cpp) evaluate their pairs through these same functions.
+
+/// Exact r^6 block of one (T_A leaf, T_Q leaf) pair: accumulates every
+/// q-point of `q_leaf` against every atom of `a_leaf` into ws.atom_s.
+void born_exact_leaf_pair(const BornInputs& in, std::uint32_t a_leaf,
+                          std::uint32_t q_leaf, BornWorkspace& ws,
+                          bool atomic);
+
+/// Far-field r^6 monopole deposit of T_Q node `q_node` (a leaf in plans,
+/// any node in the dual-tree walk) into the accumulator of T_A node
+/// `a_node` (ws.node_s[a_node]).
+void born_far_deposit(const BornInputs& in, std::uint32_t a_node,
+                      std::uint32_t q_node, BornWorkspace& ws, bool atomic);
+
+/// Exact STILL-kernel block of leaf V against leaf U (all ordered pairs,
+/// including the u == v self terms when the two leaves coincide).
+double epol_exact_block(const octree::Octree& tree,
+                        const molecule::Molecule& mol,
+                        std::span<const double> born_radii,
+                        std::uint32_t u_leaf, std::uint32_t v_leaf,
+                        bool approx_math);
+
+/// Bin-vs-bin far-field kernel of one (U, V) node pair at center
+/// distance^2 d2: sum over non-empty bin combinations of
+/// q_U[i] q_V[j] / f_GB(R_i, R_j).
+double epol_far_block(const ChargeBins& bins, std::uint32_t u_node,
+                      std::uint32_t v_node, double d2, bool approx_math);
+
+/// Born executor: evaluates plan.born_near / plan.born_far into `ws`
+/// (sized by in.atoms) with the given kernel. Serial runs are
+/// deterministic; pooled runs deposit atomically.
+void execute_born_plan(const BornInputs& in, const InteractionPlan& plan,
+                       BornKernel kernel, BornWorkspace& ws,
+                       parallel::WorkStealingPool* pool = nullptr,
+                       SimdMode mode = SimdMode::kAuto);
+
+/// E_pol executor: raw kernel sum (no -tau/2 k prefactor) of the
+/// v-leaves in plan.scope, with prebuilt charge bins. Per-leaf near and
+/// far accumulators are reduced in leaf order, so the result is
+/// bit-identical at any worker count for a given SimdMode.
+double execute_epol_plan(const octree::Octree& tree,
+                         const molecule::Molecule& mol,
+                         const ChargeBins& bins,
+                         std::span<const double> born_radii,
+                         const InteractionPlan& plan, bool approx_math,
+                         parallel::WorkStealingPool* pool = nullptr,
+                         SimdMode mode = SimdMode::kAuto);
+
+/// Plan-driven Born radii with the r^6 kernel: evaluates the plan into a
+/// workspace and runs PUSH-INTEGRALS-TO-ATOMS.
 BornRadiiResult born_radii_batched(const BornOctrees& trees,
                                    const molecule::Molecule& mol,
                                    const surface::QuadratureSurface& surf,
@@ -118,9 +182,19 @@ BornRadiiResult born_radii_batched(const BornOctrees& trees,
                                    parallel::WorkStealingPool* pool = nullptr,
                                    SimdMode mode = SimdMode::kAuto);
 
-/// Plan-driven E_pol: replays plan.epol_near / plan.epol_far into
-/// per-leaf accumulators (one near, one far -- the same two-accumulator
-/// split the fused epol_one_leaf uses) and reduces them in leaf order.
+/// Plan-driven Born radii with either kernel (r^4 runs the scalar
+/// engine and Eq. 3's radius map).
+BornRadiiResult born_radii_batched(const BornOctrees& trees,
+                                   const molecule::Molecule& mol,
+                                   const surface::QuadratureSurface& surf,
+                                   const InteractionPlan& plan,
+                                   const ApproxParams& params,
+                                   BornKernel kernel,
+                                   parallel::WorkStealingPool* pool = nullptr,
+                                   SimdMode mode = SimdMode::kAuto);
+
+/// Plan-driven E_pol in kcal/mol: builds the charge bins, evaluates the
+/// plan's v-leaves and applies the -tau/2 k prefactor.
 EpolResult epol_batched(const octree::Octree& tree,
                         const molecule::Molecule& mol,
                         std::span<const double> born_radii,

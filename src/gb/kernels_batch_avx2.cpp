@@ -258,7 +258,7 @@ std::uint32_t born_far_run_avx2(const std::uint32_t* pairs,
                                 double* node_s, bool atomic) {
   // Every float op below is an explicit mul/add/div intrinsic in the
   // same association order as far_deposit's scalar expression -- no
-  // FMA, so each lane's deposit is bit-identical to the fused engine's
+  // FMA, so each lane's deposit is bit-identical to the scalar engine's
   // and only the (per-target) deposit *order* matters. Targets within
   // a run are unique (the traversal visits each atom node once per
   // q-leaf), so the in-order lane scatter cannot alias.

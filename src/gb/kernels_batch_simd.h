@@ -29,9 +29,9 @@ double born_row_avx2(const double* qx, const double* qy, const double* qz,
 /// the kernel becomes three gathers plus arithmetic. Deposits go into
 /// node_s[target] with kernel_add(..., atomic) using lane arithmetic
 /// identical to far_deposit's scalar expression, so results stay
-/// bit-exact vs the fused path (targets within a run are unique, so
+/// bit-exact vs the scalar engine (targets within a run are unique, so
 /// per-slot deposit order is unaffected). Only floor(n/4)*4 items are
-/// processed; the caller runs the tail through born_far_deposit.
+/// processed; the caller runs the tail through the scalar deposit.
 std::uint32_t born_far_run_avx2(const std::uint32_t* pairs,
                                 std::uint32_t n, const double* acx,
                                 const double* acy, const double* acz,
@@ -52,7 +52,7 @@ double epol_row_avx2(const double* ux, const double* uy, const double* uz,
 /// against the u atoms [ub, ue), all from the same SoA arrays (one
 /// octree). `diagonal` marks U == V blocks, where each row is split
 /// around the self pair and the exact q_v^2 / R_v self term is added
-/// instead (matching the fused engine's fgb_self_term). Keeping the
+/// instead (matching the scalar engine's fgb_self_term). Keeping the
 /// v loop on this side of the TU boundary saves one call + broadcast
 /// setup per v atom, which adds up over millions of ~leaf-sized rows.
 double epol_near_block_avx2(const double* ux, const double* uy,

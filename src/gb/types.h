@@ -36,6 +36,14 @@ struct ApproxParams {
   bool strict_born_criterion = false;
 };
 
+/// Born-radius integral kernel. The paper uses the surface r^6 form
+/// (Eq. 4, better for globular solutes); the r^4 Coulomb-field form
+/// (Eq. 3) is provided for comparison.
+enum class BornKernel {
+  kSurfaceR6,
+  kSurfaceR4,
+};
+
 /// Result of a Born-radius computation.
 struct BornRadiiResult {
   std::vector<double> radii;  // per atom, Angstrom

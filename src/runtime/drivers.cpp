@@ -8,6 +8,7 @@
 
 #include "src/gb/born.h"
 #include "src/gb/epol.h"
+#include "src/gb/kernel_primitives.h"
 #include "src/gb/naive.h"
 #include "src/parallel/det_reduce.h"
 #include "src/runtime/partition.h"
@@ -182,27 +183,8 @@ DriverResult run_distributed(const molecule::Molecule& mol,
       local_trees->atoms = shared_trees->atoms;  // replicated (small)
       local_trees->qpoints = octree::Octree(local_surf->points,
                                             config.params.octree, pool_ptr);
-      // ñ_Q aggregates for the private q-tree.
-      local_trees->q_weighted_normal.assign(
-          local_trees->qpoints.num_nodes(), geom::Vec3{});
-      const auto q_index = local_trees->qpoints.point_index();
-      for (std::size_t i = local_trees->qpoints.num_nodes(); i-- > 0;) {
-        const octree::Node& node = local_trees->qpoints.node(i);
-        geom::Vec3 sum;
-        if (node.leaf) {
-          for (std::uint32_t qi = node.begin; qi < node.end; ++qi) {
-            const std::uint32_t q = q_index[qi];
-            sum += local_surf->normals[q] * local_surf->weights[q];
-          }
-        } else {
-          for (const auto child : node.children) {
-            if (child != octree::Node::kInvalid) {
-              sum += local_trees->q_weighted_normal[child];
-            }
-          }
-        }
-        local_trees->q_weighted_normal[i] = sum;
-      }
+      local_trees->q_weighted_normal = gb::q_weighted_normals(
+          local_trees->qpoints, *local_surf, pool_ptr);
       t.tree = timer.seconds();
     } else if (config.replicate_data) {
       util::WallTimer timer;
@@ -236,6 +218,9 @@ DriverResult run_distributed(const molecule::Molecule& mol,
     // Step 2: APPROX-INTEGRALS over this rank's q-leaves. In the
     // data-distributed mode the private q-tree *is* the segment; in the
     // replicated modes the shared tree's leaves are divided statically.
+    // Each call builds the rank-local plan of its leaf range (and step
+    // 6's approx_epol that of its v-leaves), so no rank traverses the
+    // other ranks' share of Figure 4's work.
     util::WallTimer timer;
     gb::BornWorkspace ws(trees);
     {
@@ -404,6 +389,93 @@ double approx_epol_dynamic(simmpi::Comm& comm, const octree::Octree& tree,
   return sum;
 }
 
+namespace {
+
+// Raw kernel sum of one pseudo-leaf (sorted atom positions [begin, end))
+// against the whole tree. The pseudo-leaf's center, radius and charge
+// bins are recomputed from its sub-range: this is what makes the
+// approximation depend on the division boundaries (the error-vs-P effect
+// of Section IV-A). It is no tree node, so the plan builder -- whose
+// E_pol targets are leaf ordinals -- cannot encode it; the walk below is
+// Figure 3's, with the kernels of kernel_primitives.h.
+template <typename Math>
+double pseudo_leaf_sum(const octree::Octree& tree,
+                       const molecule::Molecule& mol,
+                       const gb::ChargeBins& bins,
+                       std::span<const double> born_radii,
+                       std::size_t begin, std::size_t end, double far_mult) {
+  const auto index = tree.point_index();
+  const auto positions = mol.positions();
+  const auto charges = mol.charges();
+  geom::Vec3 center;
+  for (std::size_t ai = begin; ai < end; ++ai) {
+    center += positions[index[ai]];
+  }
+  center /= static_cast<double>(end - begin);
+  double rad2 = 0.0;
+  std::vector<double> vrow(static_cast<std::size_t>(bins.num_bins), 0.0);
+  for (std::size_t ai = begin; ai < end; ++ai) {
+    const auto a = index[ai];
+    rad2 = std::max(rad2, geom::distance2(center, positions[a]));
+    vrow[static_cast<std::size_t>(bins.bin_of(born_radii[a]))] += charges[a];
+  }
+  const double v_radius = std::sqrt(rad2);
+  std::vector<int> v_nz;  // non-empty bins of vrow, ascending
+  for (int k = 0; k < bins.num_bins; ++k) {
+    if (vrow[static_cast<std::size_t>(k)] != 0.0) v_nz.push_back(k);  // lint:allow(float-eq) empty charge bin, stored exact
+  }
+
+  double sum = 0.0;
+  std::uint32_t stack[256];
+  int top = 0;
+  stack[top++] = tree.root_index();
+  while (top > 0) {
+    const std::uint32_t u_idx = stack[--top];
+    const auto& u_node = tree.node(u_idx);
+    if (u_node.leaf) {
+      // Exact ordered pairs (u anywhere in leaf U, v in pseudo-range).
+      for (std::size_t vi = begin; vi < end; ++vi) {
+        const auto v = index[vi];
+        const geom::Vec3 pv = positions[v];
+        const double qv = charges[v];
+        const double rv = born_radii[v];
+        for (std::uint32_t ui = u_node.begin; ui < u_node.end; ++ui) {
+          const auto u = index[ui];
+          if (u == v) {
+            sum += gb::fgb_self_term(qv, rv);
+            continue;
+          }
+          sum += gb::fgb_term<Math>(charges[u], qv,
+                                    geom::distance2(positions[u], pv),
+                                    born_radii[u] * rv);
+        }
+      }
+      continue;
+    }
+    const double s = (u_node.radius + v_radius) * far_mult;
+    const double d2 = geom::distance2(u_node.center, center);
+    if (d2 > s * s && d2 > 0.0) {
+      for (std::uint32_t ki = bins.nz_offset[u_idx];
+           ki < bins.nz_offset[u_idx + 1]; ++ki) {
+        const int i = bins.nz_bin[ki];
+        const double ri = bins.bin_radius[static_cast<std::size_t>(i)];
+        for (const int j : v_nz) {
+          sum += gb::fgb_term<Math>(
+              bins.at(u_idx, i), vrow[static_cast<std::size_t>(j)], d2,
+              ri * bins.bin_radius[static_cast<std::size_t>(j)]);
+        }
+      }
+      continue;
+    }
+    for (const auto child : u_node.children) {
+      if (child != octree::Node::kInvalid) stack[top++] = child;
+    }
+  }
+  return sum;
+}
+
+}  // namespace
+
 double approx_epol_atom_division(const octree::Octree& tree,
                                  const molecule::Molecule& mol,
                                  const gb::ChargeBins& bins,
@@ -415,103 +487,28 @@ double approx_epol_atom_division(const octree::Octree& tree,
   if (tree.empty() || atom_begin >= atom_end) return 0.0;
   atom_end = std::min(atom_end, tree.num_points());
   const double far_mult = 1.0 + 2.0 / params.eps_epol;
-  const auto index = tree.point_index();
-  const auto positions = mol.positions();
-  const auto charges = mol.charges();
 
   // Pseudo-leaves: intersect each octree leaf with [atom_begin, atom_end).
-  struct PseudoLeaf {
-    std::size_t begin, end;  // sorted atom positions
-  };
-  std::vector<PseudoLeaf> pseudo;
+  std::vector<std::pair<std::size_t, std::size_t>> pseudo;
   for (const auto leaf_idx : tree.leaves()) {
     const auto& leaf = tree.node(leaf_idx);
     const std::size_t lo = std::max<std::size_t>(leaf.begin, atom_begin);
     const std::size_t hi = std::min<std::size_t>(leaf.end, atom_end);
-    if (lo < hi) pseudo.push_back({lo, hi});
+    if (lo < hi) pseudo.emplace_back(lo, hi);
   }
-
-  auto one_pseudo = [&](const PseudoLeaf& pl) {
-    // Recompute the pseudo-leaf's center, radius and charge bins from
-    // its sub-range: this is what makes the approximation depend on the
-    // division boundaries (the error-vs-P effect of Section IV-A).
-    geom::Vec3 center;
-    for (std::size_t ai = pl.begin; ai < pl.end; ++ai) {
-      center += positions[index[ai]];
-    }
-    center /= static_cast<double>(pl.end - pl.begin);
-    double rad2 = 0.0;
-    std::vector<double> vrow(static_cast<std::size_t>(bins.num_bins), 0.0);
-    for (std::size_t ai = pl.begin; ai < pl.end; ++ai) {
-      const auto a = index[ai];
-      rad2 = std::max(rad2, geom::distance2(center, positions[a]));
-      int k = 0;
-      if (born_radii[a] > bins.r_min) {
-        k = std::clamp(static_cast<int>(std::log(born_radii[a] /
-                                                 bins.r_min) *
-                                        bins.inv_log1p),
-                       0, bins.num_bins - 1);
-      }
-      vrow[static_cast<std::size_t>(k)] += charges[a];
-    }
-    const double v_radius = std::sqrt(rad2);
-
-    double sum = 0.0;
-    std::uint32_t stack[256];
-    int top = 0;
-    stack[top++] = tree.root_index();
-    while (top > 0) {
-      const std::uint32_t u_idx = stack[--top];
-      const auto& u_node = tree.node(u_idx);
-      if (u_node.leaf) {
-        // Exact ordered pairs (u anywhere in leaf U, v in pseudo-range).
-        for (std::size_t vi = pl.begin; vi < pl.end; ++vi) {
-          const auto v = index[vi];
-          const geom::Vec3 pv = positions[v];
-          const double qv = charges[v];
-          const double rv = born_radii[v];
-          for (std::uint32_t ui = u_node.begin; ui < u_node.end; ++ui) {
-            const auto u = index[ui];
-            if (u == v) {
-              sum += qv * qv / rv;
-              continue;
-            }
-            const double r2 = geom::distance2(positions[u], pv);
-            const double rr = born_radii[u] * rv;
-            const double f2 = r2 + rr * std::exp(-r2 / (4.0 * rr));
-            sum += charges[u] * qv / std::sqrt(f2);
-          }
-        }
-        continue;
-      }
-      const double s = (u_node.radius + v_radius) * far_mult;
-      const double d2 = geom::distance2(u_node.center, center);
-      if (d2 > s * s && d2 > 0.0) {
-        for (int i = 0; i < bins.num_bins; ++i) {
-          const double qu = bins.at(u_idx, i);
-          if (qu == 0.0) continue;  // lint:allow(float-eq) empty charge bin, stored exact
-          for (int j = 0; j < bins.num_bins; ++j) {
-            const double qvb = vrow[static_cast<std::size_t>(j)];
-            if (qvb == 0.0) continue;  // lint:allow(float-eq) empty charge bin, stored exact
-            const double rr =
-                bins.bin_radius[static_cast<std::size_t>(i)] *
-                bins.bin_radius[static_cast<std::size_t>(j)];
-            const double f2 = d2 + rr * std::exp(-d2 / (4.0 * rr));
-            sum += qu * qvb / std::sqrt(f2);
-          }
-        }
-        continue;
-      }
-      for (const auto child : u_node.children) {
-        if (child != octree::Node::kInvalid) stack[top++] = child;
-      }
-    }
-    return sum;
+  const auto one = [&](std::size_t i) {
+    const auto [lo, hi] = pseudo[i];
+    return params.approx_math
+               ? pseudo_leaf_sum<util::ApproxMath>(tree, mol, bins,
+                                                   born_radii, lo, hi,
+                                                   far_mult)
+               : pseudo_leaf_sum<util::ExactMath>(tree, mol, bins,
+                                                  born_radii, lo, hi,
+                                                  far_mult);
   };
 
   // Fixed reduction order (ascending pseudo-leaf index): bit-identical
   // to the serial loop at any worker count (see det_reduce.h).
-  const auto one = [&](std::size_t i) { return one_pseudo(pseudo[i]); };
   if (pool != nullptr) {
     double total = 0.0;
     pool->run([&] {

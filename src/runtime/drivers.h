@@ -8,7 +8,10 @@
 //
 // Work division follows Figure 4: APPROX-INTEGRALS work is divided by
 // q-point octree leaves, PUSH-INTEGRALS by atom segments, and E_pol by
-// atoms-octree leaves ("node-node"). The "atom-atom" ablation divides
+// atoms-octree leaves ("node-node"). Each rank (and each dynamic E_pol
+// chunk) builds the interaction plan of its own leaf range only and
+// evaluates it with the plan executor (src/gb/kernels_batch.h), the
+// same engine compute_gb_energy uses. The "atom-atom" ablation divides
 // the E_pol phase by sorted atom ranges instead: division boundaries
 // then split octree leaves into pseudo-leaves whose centers/radii/bins
 // depend on P, which is why (as Section IV-A observes) the atom-based

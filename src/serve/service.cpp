@@ -479,39 +479,28 @@ Response PolarizationService::compute_one(const Request& req,
   stage.restart();
   gb::BornRadiiResult born;
   gb::EpolResult epol;
-  const bool batched = params.kernel == gb::BornKernel::kSurfaceR6 &&
-                       gb::use_batched_engine();
-  if (batched) {
-    // Two-phase engine, mirroring compute_gb_energy's batched path so
-    // kExact energies stay bit-identical to the one-shot driver. The
-    // plan depends only on tree geometry and epsilons, so a refit
-    // request inherits the base entry's plan and skips the traversal
-    // outright -- the kernels are the only per-conformation work left.
-    if (base && base->plan && !refit_rebuilt) {
-      entry->plan = base->plan;
-      resp.plan_reused = true;
-      OCTGB_COUNTER_ADD("serve.plan_reuses", 1);
-    } else {
-      OCTGB_TRACE_SCOPE("serve/plan_build");
-      entry->plan = std::make_shared<const gb::InteractionPlan>(
-          gb::build_interaction_plan(entry->trees, params.approx, pool));
-    }
+  // Mirrors compute_gb_energy's single-tree path so kExact energies stay
+  // bit-identical to the one-shot driver. The plan depends only on tree
+  // geometry and epsilons, so a refit request inherits the base entry's
+  // plan and skips the traversal outright -- the kernels are the only
+  // per-conformation work left.
+  if (base && base->plan && !refit_rebuilt) {
+    entry->plan = base->plan;
+    resp.plan_reused = true;
+    OCTGB_COUNTER_ADD("serve.plan_reuses", 1);
+  } else {
+    OCTGB_TRACE_SCOPE("serve/plan_build");
+    entry->plan = std::make_shared<const gb::InteractionPlan>(
+        gb::build_interaction_plan(entry->trees, params.approx, pool));
+  }
+  {
     OCTGB_TRACE_SCOPE("serve/kernels");
     born = gb::born_radii_batched(entry->trees, req.mol, *entry->surf,
-                                  *entry->plan, params.approx, pool);
+                                  *entry->plan, params.approx, params.kernel,
+                                  pool);
     epol = gb::epol_batched(entry->trees.atoms, req.mol, born.radii,
                             *entry->plan, params.approx, params.physics,
                             pool);
-  } else {
-    OCTGB_TRACE_SCOPE("serve/kernels");
-    born = params.kernel == gb::BornKernel::kSurfaceR4
-               ? gb::born_radii_octree_r4(entry->trees, req.mol,
-                                          *entry->surf, params.approx,
-                                          pool)
-               : gb::born_radii_octree(entry->trees, req.mol, *entry->surf,
-                                       params.approx, pool);
-    epol = gb::epol_octree(entry->trees.atoms, req.mol, born.radii,
-                           params.approx, params.physics, pool);
   }
   resp.t_kernel = stage.seconds();
 

@@ -17,10 +17,12 @@
 // Parallelism is across requests by default: each request's pipeline
 // runs serially inside one pool task, so a request's energy is
 // bit-identical to a serial gb::compute_gb_energy call no matter how
-// it was batched (the Born accumulation uses atomic adds, so
-// *intra*-request parallelism is not bit-reproducible run to run --
-// see src/gb/born.h). Set ServiceConfig::intra_request_parallelism for
-// latency-critical single-stream workloads with large molecules.
+// it was batched. Set ServiceConfig::intra_request_parallelism for
+// latency-critical single-stream workloads with large molecules; the
+// Born phase then deposits with atomic adds, so its radii (and the
+// energy computed from them) are reproducible to rounding only. The
+// E_pol phase is bit-identical at any worker count (see
+// src/gb/kernels_batch.h).
 //
 // This is the seam later scaling work plugs into: sharding replicates
 // the service per NUMA domain behind a hash router, async backends

@@ -54,7 +54,7 @@ struct CacheEntry {
   /// so the parent's traversal classification is reused and the refit
   /// path skips the plan build entirely (the slightly stale near/far
   /// classification is part of the refit approximation, like the
-  /// retained surface). Null on the fused-engine and r^4 paths.
+  /// retained surface). Built for both Born kernels.
   std::shared_ptr<const gb::InteractionPlan> plan;
   std::vector<double> born_radii;
   double energy = 0.0;

@@ -221,7 +221,7 @@ TEST(CalculatorTest, TimingFieldsAreConsistent) {
   EXPECT_GT(r.t_tree_build, 0.0);
   EXPECT_GT(r.t_born, 0.0);
   EXPECT_GT(r.t_epol, 0.0);
-  EXPECT_GE(r.t_plan, 0.0);  // > 0 on the batched engine, 0 when fused
+  EXPECT_GE(r.t_plan, 0.0);  // the interaction-plan build
   EXPECT_NEAR(r.total_seconds(),
               r.t_surface + r.t_tree_build + r.t_plan + r.t_born + r.t_epol,
               1e-12);

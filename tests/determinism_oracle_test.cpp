@@ -27,6 +27,7 @@
 #include "src/gb/born.h"
 #include "src/gb/epol.h"
 #include "src/gb/interaction_lists.h"
+#include "src/gb/kernels_batch.h"
 #include "src/gb/naive.h"
 #include "src/load/shard_sim.h"
 #include "src/load/sim.h"
@@ -257,13 +258,14 @@ TEST(DeterminismOracleTest, PlanConstructionBitIdenticalAcrossWorkerCounts) {
 // ----------------------------------------------------------- E_pol
 
 // Regression for the real divergence bug detlint's shared-float-accum
-// rule found in src/gb/epol.cpp: the pooled leaf reduction accumulated
+// rule found in the E_pol phase: the pooled leaf reduction accumulated
 // per-chunk partials into a std::atomic<double> in completion order,
 // so E_pol differed by ulps run-to-run and across worker counts. The
-// fix (parallel::deterministic_sum) reproduces the serial left-to-
-// right association exactly; this test pins that down. Born radii are
-// fed in fixed (computed once, serially) to isolate the E_pol
-// reduction from the Born phase's sanctioned atomic deposits.
+// plan executor's chunks own whole v-leaves and its per-leaf
+// accumulators are reduced in leaf order; this test pins that down for
+// epol_octree and for epol_batched in both engines. Born radii are fed
+// in fixed (computed once, serially) to isolate the E_pol phase from
+// the Born phase's sanctioned atomic deposits.
 TEST(DeterminismOracleTest, EpolBitIdenticalAcrossWorkerCounts) {
   const auto mol = molecule::generate_protein(600, 53);
   const auto surf = surface::build_surface(mol);
@@ -275,19 +277,34 @@ TEST(DeterminismOracleTest, EpolBitIdenticalAcrossWorkerCounts) {
   oct.parallel_grain = 64;
   const auto points = positions_of(mol);
   const octree::Octree tree(points, oct, nullptr);
+  gb::BornOctrees trees;
+  trees.atoms = tree;
+  const gb::InteractionPlan plan = gb::build_interaction_plan(trees, approx);
 
-  const double serial =
-      gb::epol_octree(tree, mol, born.radii, approx, {}, nullptr).energy;
-  const std::uint64_t want = std::bit_cast<std::uint64_t>(serial);
-  for (const int workers : kWorkerCounts) {
-    parallel::WorkStealingPool pool(workers);
-    for (int rep = 0; rep < 3; ++rep) {
-      const double pooled =
-          gb::epol_octree(tree, mol, born.radii, approx, {}, &pool).energy;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled), want)
-          << "workers=" << workers << " rep=" << rep
-          << " serial=" << serial << " pooled=" << pooled;
+  const auto check = [&](const char* what, auto&& energy) {
+    const double serial = energy(nullptr);
+    const std::uint64_t want = std::bit_cast<std::uint64_t>(serial);
+    for (const int workers : kWorkerCounts) {
+      parallel::WorkStealingPool pool(workers);
+      for (int rep = 0; rep < 3; ++rep) {
+        const double pooled = energy(&pool);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled), want)
+            << what << " workers=" << workers << " rep=" << rep
+            << " serial=" << serial << " pooled=" << pooled;
+      }
     }
+  };
+  check("epol_octree", [&](parallel::WorkStealingPool* pool) {
+    return gb::epol_octree(tree, mol, born.radii, approx, {}, pool).energy;
+  });
+  for (const auto mode : {gb::SimdMode::kForceScalar, gb::SimdMode::kAuto}) {
+    check(mode == gb::SimdMode::kAuto ? "epol_batched/auto"
+                                      : "epol_batched/scalar",
+          [&](parallel::WorkStealingPool* pool) {
+            return gb::epol_batched(tree, mol, born.radii, plan, approx, {},
+                                    pool, mode)
+                .energy;
+          });
   }
 }
 

@@ -171,16 +171,23 @@ TEST(PoseScorerTest, MatchesFromScratchUnionSurfaceComputation) {
 }
 
 TEST(PoseScorerTest, IsolatedEnergiesMatchCalculator) {
+  // Both math policies: the scorer's Born-radius map is the
+  // calculator's, so approx_math reaches it too.
   const auto receptor = molecule::generate_protein(400, 35);
   const auto ligand = molecule::generate_ligand(30, 37);
-  gb::CalculatorParams params;
-  const PoseScorer scorer(receptor, ligand, params);
-  const gb::GBResult rec = gb::compute_gb_energy(receptor, params);
-  const gb::GBResult lig = gb::compute_gb_energy(ligand, params);
-  EXPECT_NEAR(scorer.receptor_energy(), rec.energy,
-              1e-9 * std::abs(rec.energy));
-  EXPECT_NEAR(scorer.ligand_energy(), lig.energy,
-              1e-9 * std::abs(lig.energy));
+  for (const bool approx_math : {false, true}) {
+    gb::CalculatorParams params;
+    params.approx.approx_math = approx_math;
+    const PoseScorer scorer(receptor, ligand, params);
+    const gb::GBResult rec = gb::compute_gb_energy(receptor, params);
+    const gb::GBResult lig = gb::compute_gb_energy(ligand, params);
+    EXPECT_NEAR(scorer.receptor_energy(), rec.energy,
+                1e-9 * std::abs(rec.energy))
+        << "approx_math=" << approx_math;
+    EXPECT_NEAR(scorer.ligand_energy(), lig.energy,
+                1e-9 * std::abs(lig.energy))
+        << "approx_math=" << approx_math;
+  }
 }
 
 TEST(PoseScorerTest, FarAwayLigandHasNearZeroDelta) {

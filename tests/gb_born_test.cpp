@@ -3,9 +3,13 @@
 // the naive reference with eps -> 0 convergence.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "src/gb/born.h"
+#include "src/gb/interaction_lists.h"
+#include "src/gb/kernels_batch.h"
 #include "src/gb/naive.h"
 #include "src/molecule/generators.h"
 #include "src/surface/quadrature.h"
@@ -189,6 +193,32 @@ TEST(OctreeBornTest, ParallelMatchesSerialExactly) {
   }
 }
 
+TEST(OctreeBornTest, QWeightedNormalsMatchBuildBornOctrees) {
+  // The distributed drivers' private q-trees take their aggregates from
+  // the same sweep build_born_octrees runs; pooled or serial, the bits
+  // must agree with it.
+  const auto mol = molecule::generate_protein(900, 61);
+  const auto surf = surface::build_surface(mol);
+  const auto trees = build_born_octrees(mol, surf);
+  parallel::WorkStealingPool pool(4);
+  for (parallel::WorkStealingPool* p :
+       {static_cast<parallel::WorkStealingPool*>(nullptr), &pool}) {
+    const auto normals = q_weighted_normals(trees.qpoints, surf, p);
+    ASSERT_EQ(normals.size(), trees.q_weighted_normal.size());
+    for (std::size_t i = 0; i < normals.size(); ++i) {
+      const geom::Vec3& a = normals[i];
+      const geom::Vec3& b = trees.q_weighted_normal[i];
+      EXPECT_TRUE(std::bit_cast<std::uint64_t>(a.x) ==
+                      std::bit_cast<std::uint64_t>(b.x) &&
+                  std::bit_cast<std::uint64_t>(a.y) ==
+                      std::bit_cast<std::uint64_t>(b.y) &&
+                  std::bit_cast<std::uint64_t>(a.z) ==
+                      std::bit_cast<std::uint64_t>(b.z))
+          << "node " << i;
+    }
+  }
+}
+
 TEST(OctreeBornTest, SegmentedPushCoversExactlyItsRange) {
   // The distributed driver computes radii for disjoint atom segments on
   // different ranks. Verify segments tile the result.
@@ -259,7 +289,9 @@ TEST(OctreeBornTest, R4PathMatchesNaiveR4) {
   const auto naive = born_radii_naive_r4(mol, surf);
   ApproxParams params;
   params.eps_born = 0.3;
-  const auto oct = born_radii_octree_r4(trees, mol, surf, params);
+  const InteractionPlan plan = build_interaction_plan(trees, params);
+  const auto oct = born_radii_batched(trees, mol, surf, plan, params,
+                                      BornKernel::kSurfaceR4);
   double total_rel = 0.0;
   for (std::size_t i = 0; i < mol.size(); ++i) {
     total_rel += std::abs(oct.radii[i] - naive.radii[i]) / naive.radii[i];
@@ -275,8 +307,10 @@ TEST(OctreeBornTest, R4AndR6GiveDifferentButCorrelatedRadii) {
   const auto surf = surface::build_surface(mol);
   const auto trees = build_born_octrees(mol, surf);
   ApproxParams params;
-  const auto r6 = born_radii_octree(trees, mol, surf, params);
-  const auto r4 = born_radii_octree_r4(trees, mol, surf, params);
+  const InteractionPlan plan = build_interaction_plan(trees, params);
+  const auto r6 = born_radii_batched(trees, mol, surf, plan, params);
+  const auto r4 = born_radii_batched(trees, mol, surf, plan, params,
+                                     BornKernel::kSurfaceR4);
   double mean6 = 0.0, mean4 = 0.0;
   for (std::size_t i = 0; i < mol.size(); ++i) {
     mean6 += r6.radii[i];

@@ -1,13 +1,19 @@
-// Golden tests for the two-phase engine (interaction lists + batched
-// kernels): the scalar replay must reproduce the fused traversal
-// BIT-FOR-BIT (same expression trees, same summation order), the SIMD
-// engine within 1e-10 relative (only the 4-wide reduction order
-// differs), across math policies, parallel execution and edge shapes.
+// Golden tests for the plan engine (interaction lists + executor). The
+// parent engine of this code was a fused traversal that classified and
+// evaluated in one walk; the golden digests below are FNV-1a hashes of
+// its Born-radius and E_pol bits on these fixtures, recorded from that
+// engine, and a serial scalar plan evaluation must reproduce them bit for
+// bit in every build (default, OCTGB_SIMD=OFF, OCTGB_VALIDATE). The SIMD
+// engine stays within 1e-10 relative of the scalar one (only the 4-wide
+// reduction order differs), and pooled runs match serial ones: Born to
+// rounding (atomic deposits), E_pol bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "src/gb/born.h"
 #include "src/gb/epol.h"
@@ -21,6 +27,42 @@ namespace octgb::gb {
 namespace {
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// FNV-1a over the little-endian bytes of each value's bits.
+std::uint64_t digest(std::span<const double> values) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double x : values) {
+    const std::uint64_t b = bits(x);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (b >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+std::uint64_t digest(const BornWorkspace& ws) {
+  std::vector<double> all = ws.node_s;
+  all.insert(all.end(), ws.atom_s.begin(), ws.atom_s.end());
+  return digest(all);
+}
+
+// Digests recorded from the fused engine on Fixture(1000, approx_math):
+// r^6 and r^4 Born radii, E_pol on the r^6 radii, approx_integrals over
+// q-leaves [n/3, 2n/3), and approx_epol over v-leaves [n/3, 2n/3) with
+// bins from the r^6 radii.
+struct Golden {
+  std::uint64_t born, epol, r4, born_part, epol_part;
+};
+constexpr Golden kGoldenApprox{0x34e93d793c08b04bull, 0xc09415182486b7e2ull,
+                               0xab401b5707994ad9ull, 0x758ba4c3e1173270ull,
+                               0x4008207657db4325ull};
+constexpr Golden kGoldenExact{0x29c033a480ee901bull, 0xc0940fc967085f28ull,
+                              0xab401b5707994ad9ull, 0x758ba4c3e1173270ull,
+                              0x40081885fb689940ull};
+// Cross-tree integrals of generate_ligand(40, 7)'s surface into
+// Fixture(500)'s atoms (either math policy: the Born sums use none).
+constexpr std::uint64_t kGoldenCross = 0x7b5f20d3428c7730ull;
 
 double rel_diff(double a, double b) {
   const double denom = std::max(std::abs(a), std::abs(b));
@@ -99,70 +141,181 @@ TEST(InteractionPlanTest, ThrowsOnNonPositiveEps) {
                std::invalid_argument);
 }
 
-class BatchedVsFused : public ::testing::TestWithParam<bool> {};
+TEST(InteractionPlanTest, ScopedPlansPartitionTheFullPlan) {
+  // Figure 4's division: per-rank plans over q-leaf and v-leaf ranges
+  // concatenate to the full plan, item for item.
+  const Fixture f(900);
+  const std::size_t nq = f.trees.qpoints.num_leaves();
+  const std::size_t nv = f.trees.atoms.num_leaves();
+  InteractionPlan joined;
+  for (int r = 0; r < 3; ++r) {
+    const PlanScope scope{nq * r / 3, nq * (r + 1) / 3, nv * r / 3,
+                          nv * (r + 1) / 3};
+    const InteractionPlan part =
+        build_interaction_plan(f.trees.atoms, f.trees.qpoints, f.params,
+                               scope);
+    EXPECT_EQ(part.scope.born_begin, scope.born_begin);
+    EXPECT_EQ(part.scope.epol_end, scope.epol_end);
+    for (const auto list : {&InteractionPlan::born_near,
+                             &InteractionPlan::born_far,
+                             &InteractionPlan::epol_near,
+                             &InteractionPlan::epol_far}) {
+      (joined.*list).insert((joined.*list).end(), (part.*list).begin(),
+                            (part.*list).end());
+    }
+  }
+  const auto same = [](const std::vector<NodePair>& a,
+                       const std::vector<NodePair>& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(),
+                      [](const NodePair& x, const NodePair& y) {
+                        return x.target == y.target && x.source == y.source;
+                      });
+  };
+  EXPECT_TRUE(same(joined.born_near, f.plan.born_near));
+  EXPECT_TRUE(same(joined.born_far, f.plan.born_far));
+  EXPECT_TRUE(same(joined.epol_near, f.plan.epol_near));
+  EXPECT_TRUE(same(joined.epol_far, f.plan.epol_far));
+
+  const InteractionPlan born_only = build_interaction_plan(
+      f.trees.atoms, f.trees.qpoints, f.params, PlanScope::born_only());
+  EXPECT_TRUE(same(born_only.born_near, f.plan.born_near));
+  EXPECT_TRUE(born_only.epol_near.empty());
+  EXPECT_TRUE(born_only.epol_far.empty());
+}
+
+TEST(InteractionPlanTest, EpolChunksOwnWholeLeaves) {
+  const Fixture f(1200);
+  const auto check = [](const std::vector<NodePair>& list,
+                        const std::vector<std::uint32_t>& chunks) {
+    ASSERT_GT(chunks.size(), 2u) << "one chunk would serialize the pool";
+    for (std::size_t c = 1; c + 1 < chunks.size(); ++c) {
+      EXPECT_NE(list[chunks[c] - 1].target, list[chunks[c]].target)
+          << "chunk " << c << " splits a v-leaf";
+    }
+  };
+  check(f.plan.epol_near, f.plan.epol_near_chunks);
+  check(f.plan.epol_far, f.plan.epol_far_chunks);
+}
+
+class BatchedVsFused : public ::testing::TestWithParam<bool> {
+ protected:
+  const Golden& golden() const {
+    return GetParam() ? kGoldenApprox : kGoldenExact;
+  }
+};
 
 TEST_P(BatchedVsFused, ScalarBornRadiiBitExact) {
   const Fixture f(1000, GetParam());
-  const auto fused = born_radii_octree(f.trees, f.mol, f.surf, f.params);
-  const auto batched =
-      born_radii_batched(f.trees, f.mol, f.surf, f.plan, f.params,
-                         nullptr, SimdMode::kForceScalar);
-  ASSERT_EQ(batched.radii.size(), fused.radii.size());
-  for (std::size_t a = 0; a < fused.radii.size(); ++a) {
-    EXPECT_EQ(bits(batched.radii[a]), bits(fused.radii[a])) << "atom " << a;
-  }
+  const auto r6 = born_radii_batched(f.trees, f.mol, f.surf, f.plan,
+                                     f.params, nullptr,
+                                     SimdMode::kForceScalar);
+  EXPECT_EQ(digest(r6.radii), golden().born);
+  // r^4 has no SIMD rows: kAuto runs the scalar engine too.
+  const auto r4 = born_radii_batched(f.trees, f.mol, f.surf, f.plan,
+                                     f.params, BornKernel::kSurfaceR4);
+  EXPECT_EQ(digest(r4.radii), golden().r4);
 }
 
 TEST_P(BatchedVsFused, ScalarEpolBitExact) {
   const Fixture f(1000, GetParam());
-  const auto born = born_radii_octree(f.trees, f.mol, f.surf, f.params);
-  const auto fused =
-      epol_octree(f.trees.atoms, f.mol, born.radii, f.params);
-  const auto batched =
-      epol_batched(f.trees.atoms, f.mol, born.radii, f.plan, f.params, {},
-                   nullptr, SimdMode::kForceScalar);
-  EXPECT_EQ(bits(batched.energy), bits(fused.energy));
+  const auto born = born_radii_batched(f.trees, f.mol, f.surf, f.plan,
+                                       f.params, nullptr,
+                                       SimdMode::kForceScalar);
+  const auto e = epol_batched(f.trees.atoms, f.mol, born.radii, f.plan,
+                              f.params, {}, nullptr,
+                              SimdMode::kForceScalar);
+  EXPECT_EQ(bits(e.energy), golden().epol);
+}
+
+TEST_P(BatchedVsFused, ScalarRangePlansBitExact) {
+  // The distributed drivers' rank-local plans: a q-leaf range for the
+  // Born phase, a v-leaf range for E_pol with prebuilt bins.
+  const Fixture f(1000, GetParam());
+  const std::size_t nq = f.trees.qpoints.num_leaves();
+  const InteractionPlan born_plan = build_interaction_plan(
+      f.trees.atoms, f.trees.qpoints, f.params,
+      PlanScope::born_only(nq / 3, 2 * nq / 3));
+  BornWorkspace ws(f.trees);
+  execute_born_plan(born_inputs(f.trees, f.mol, f.surf), born_plan,
+                    BornKernel::kSurfaceR6, ws, nullptr,
+                    SimdMode::kForceScalar);
+  EXPECT_EQ(digest(ws), golden().born_part);
+
+  const auto born = born_radii_batched(f.trees, f.mol, f.surf, f.plan,
+                                       f.params, nullptr,
+                                       SimdMode::kForceScalar);
+  const ChargeBins bins = build_charge_bins(f.trees.atoms, f.mol.charges(),
+                                            born.radii, f.params.eps_epol);
+  const std::size_t nv = f.trees.atoms.num_leaves();
+  const InteractionPlan epol_plan = build_interaction_plan(
+      f.trees.atoms, f.trees.qpoints, f.params,
+      PlanScope::epol_only(nv / 3, 2 * nv / 3));
+  const double part =
+      execute_epol_plan(f.trees.atoms, f.mol, bins, born.radii, epol_plan,
+                        f.params.approx_math, nullptr,
+                        SimdMode::kForceScalar);
+  EXPECT_EQ(bits(part), golden().epol_part);
+}
+
+TEST_P(BatchedVsFused, ScalarCrossTreePlanBitExact) {
+  const Fixture rec(500, GetParam());
+  const auto lig_mol = molecule::generate_ligand(40, 7);
+  const auto lig_surf = surface::build_surface(lig_mol);
+  const BornOctrees lig = build_born_octrees(lig_mol, lig_surf);
+  const InteractionPlan plan = build_interaction_plan(
+      rec.trees.atoms, lig.qpoints, rec.params, PlanScope::born_only());
+  BornWorkspace ws(rec.trees.atoms);
+  execute_born_plan({rec.trees.atoms, rec.mol, lig.qpoints,
+                     lig.q_weighted_normal, lig_surf},
+                    plan, BornKernel::kSurfaceR6, ws, nullptr,
+                    SimdMode::kForceScalar);
+  EXPECT_EQ(digest(ws), kGoldenCross);
 }
 
 TEST_P(BatchedVsFused, SimdWithinTightTolerance) {
   if (!simd_available()) GTEST_SKIP() << "no AVX2+FMA on this host";
+  // The full pipeline: SIMD radii feed SIMD E_pol, scalar feeds scalar.
   const Fixture f(1000, GetParam());
-  const auto fused = born_radii_octree(f.trees, f.mol, f.surf, f.params);
-  const auto simd =
-      born_radii_batched(f.trees, f.mol, f.surf, f.plan, f.params,
-                         nullptr, SimdMode::kAuto);
-  ASSERT_EQ(simd.radii.size(), fused.radii.size());
-  for (std::size_t a = 0; a < fused.radii.size(); ++a) {
-    EXPECT_LT(rel_diff(simd.radii[a], fused.radii[a]), 1e-10)
+  const auto scalar = born_radii_batched(f.trees, f.mol, f.surf, f.plan,
+                                         f.params, nullptr,
+                                         SimdMode::kForceScalar);
+  const auto simd = born_radii_batched(f.trees, f.mol, f.surf, f.plan,
+                                       f.params, nullptr, SimdMode::kAuto);
+  ASSERT_EQ(simd.radii.size(), scalar.radii.size());
+  for (std::size_t a = 0; a < scalar.radii.size(); ++a) {
+    EXPECT_LT(rel_diff(simd.radii[a], scalar.radii[a]), 1e-10)
         << "atom " << a;
   }
-  const auto fused_e =
-      epol_octree(f.trees.atoms, f.mol, fused.radii, f.params);
+  const auto scalar_e =
+      epol_batched(f.trees.atoms, f.mol, scalar.radii, f.plan, f.params, {},
+                   nullptr, SimdMode::kForceScalar);
   const auto simd_e =
-      epol_batched(f.trees.atoms, f.mol, fused.radii, f.plan, f.params,
-                   {}, nullptr, SimdMode::kAuto);
-  EXPECT_LT(rel_diff(simd_e.energy, fused_e.energy), 1e-10);
+      epol_batched(f.trees.atoms, f.mol, simd.radii, f.plan, f.params, {},
+                   nullptr, SimdMode::kAuto);
+  EXPECT_LT(rel_diff(simd_e.energy, scalar_e.energy), 1e-10);
 }
 
 TEST_P(BatchedVsFused, PooledExecutionMatchesSerial) {
   const Fixture f(800, GetParam());
   parallel::WorkStealingPool pool(4);
-  const auto serial =
-      born_radii_batched(f.trees, f.mol, f.surf, f.plan, f.params,
-                         nullptr, SimdMode::kForceScalar);
-  const auto pooled =
-      born_radii_batched(f.trees, f.mol, f.surf, f.plan, f.params, &pool,
-                         SimdMode::kForceScalar);
-  for (std::size_t a = 0; a < serial.radii.size(); ++a) {
-    EXPECT_LT(rel_diff(pooled.radii[a], serial.radii[a]), 1e-12);
+  for (const SimdMode mode : {SimdMode::kForceScalar, SimdMode::kAuto}) {
+    const auto serial = born_radii_batched(f.trees, f.mol, f.surf, f.plan,
+                                           f.params, nullptr, mode);
+    const auto pooled = born_radii_batched(f.trees, f.mol, f.surf, f.plan,
+                                           f.params, &pool, mode);
+    for (std::size_t a = 0; a < serial.radii.size(); ++a) {
+      EXPECT_LT(rel_diff(pooled.radii[a], serial.radii[a]), 1e-12);
+    }
+    // E_pol chunks own whole v-leaves: pooled is bit-identical.
+    const auto e_serial =
+        epol_batched(f.trees.atoms, f.mol, serial.radii, f.plan, f.params,
+                     {}, nullptr, mode);
+    const auto e_pooled =
+        epol_batched(f.trees.atoms, f.mol, serial.radii, f.plan, f.params,
+                     {}, &pool, mode);
+    EXPECT_EQ(bits(e_pooled.energy), bits(e_serial.energy));
   }
-  const auto e_serial =
-      epol_batched(f.trees.atoms, f.mol, serial.radii, f.plan, f.params,
-                   {}, nullptr, SimdMode::kForceScalar);
-  const auto e_pooled =
-      epol_batched(f.trees.atoms, f.mol, serial.radii, f.plan, f.params,
-                   {}, &pool, SimdMode::kForceScalar);
-  EXPECT_LT(rel_diff(e_pooled.energy, e_serial.energy), 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(MathPolicies, BatchedVsFused,
@@ -173,18 +326,15 @@ INSTANTIATE_TEST_SUITE_P(MathPolicies, BatchedVsFused,
 
 TEST(BatchedEdgeTest, SingleAtomMoleculeBitExact) {
   const Fixture f(1);
-  const auto fused = born_radii_octree(f.trees, f.mol, f.surf, f.params);
-  const auto batched =
+  const auto born =
       born_radii_batched(f.trees, f.mol, f.surf, f.plan, f.params,
                          nullptr, SimdMode::kForceScalar);
-  ASSERT_EQ(batched.radii.size(), 1u);
-  EXPECT_EQ(bits(batched.radii[0]), bits(fused.radii[0]));
-  const auto fused_e =
-      epol_octree(f.trees.atoms, f.mol, fused.radii, f.params);
-  const auto batched_e =
-      epol_batched(f.trees.atoms, f.mol, fused.radii, f.plan, f.params,
-                   {}, nullptr, SimdMode::kForceScalar);
-  EXPECT_EQ(bits(batched_e.energy), bits(fused_e.energy));
+  ASSERT_EQ(born.radii.size(), 1u);
+  EXPECT_EQ(digest(born.radii), 0x43c1b2c966fa2029ull);
+  const auto e =
+      epol_batched(f.trees.atoms, f.mol, born.radii, f.plan, f.params, {},
+                   nullptr, SimdMode::kForceScalar);
+  EXPECT_EQ(bits(e.energy), 0x8000000000000000ull);  // -0.0: zero charge
 }
 
 TEST(BatchedEdgeTest, EmptyTreesYieldEmptyPlanAndZeroEnergy) {
@@ -200,22 +350,21 @@ TEST(BatchedEdgeTest, EmptyTreesYieldEmptyPlanAndZeroEnergy) {
 TEST(BatchedEdgeTest, AllEqualBornRadiiBitExact) {
   const Fixture f(600);
   const std::vector<double> born(f.mol.size(), 2.5);
-  const auto fused = epol_octree(f.trees.atoms, f.mol, born, f.params);
-  const auto batched =
+  const auto scalar =
       epol_batched(f.trees.atoms, f.mol, born, f.plan, f.params, {},
                    nullptr, SimdMode::kForceScalar);
-  EXPECT_EQ(bits(batched.energy), bits(fused.energy));
+  EXPECT_EQ(bits(scalar.energy), 0xc095477fc410f6f7ull);
   if (simd_available()) {
     const auto simd = epol_batched(f.trees.atoms, f.mol, born, f.plan,
                                    f.params, {}, nullptr, SimdMode::kAuto);
-    EXPECT_LT(rel_diff(simd.energy, fused.energy), 1e-10);
+    EXPECT_LT(rel_diff(simd.energy, scalar.energy), 1e-10);
   }
 }
 
 TEST(BatchedRowTest, SimdRowsMatchScalarRows) {
   if (!simd_available()) GTEST_SKIP() << "no AVX2+FMA on this host";
   const Fixture f(500);
-  const BornSoA bsoa = build_born_soa(f.trees, f.mol, f.surf);
+  const BornSoA bsoa = build_born_soa(born_inputs(f.trees, f.mol, f.surf));
   const std::uint32_t qn = static_cast<std::uint32_t>(bsoa.qw.size());
   // Odd-length range exercises the vector body and the scalar tail.
   const std::uint32_t qe = std::min<std::uint32_t>(qn, 37);

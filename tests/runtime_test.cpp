@@ -4,7 +4,9 @@
 // Section IV-A observation).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "src/gb/calculator.h"
@@ -174,6 +176,46 @@ TEST(WorkDivisionTest, AtomDivisionSegmentsSumToWhole) {
   // Segments change pseudo-leaf boundaries, so the sum is close but not
   // identical -- equality would mean the division has no boundary effect.
   EXPECT_NEAR(pieces, whole, 5e-3 * std::abs(whole));
+}
+
+TEST(WorkDivisionTest, AtomDivisionHonoursApproxMath) {
+  // The pseudo-leaf kernels run through fgb_term<Math>, so approx_math
+  // selects the fast exp/rsqrt: a different value in the last digits,
+  // within the fast-math error of the exact one.
+  const auto mol = molecule::generate_protein(400, 141);
+  const auto surf = surface::build_surface(mol);
+  const auto trees = gb::build_born_octrees(mol, surf);
+  const auto born = gb::born_radii_naive_r6(mol, surf);
+  gb::ApproxParams exact;
+  gb::ApproxParams fast = exact;
+  fast.approx_math = true;
+  const auto bins = gb::build_charge_bins(trees.atoms, mol.charges(),
+                                          born.radii, exact.eps_epol);
+  const double e_exact = approx_epol_atom_division(
+      trees.atoms, mol, bins, born.radii, 0, mol.size() / 2, exact);
+  const double e_fast = approx_epol_atom_division(
+      trees.atoms, mol, bins, born.radii, 0, mol.size() / 2, fast);
+  EXPECT_NE(e_fast, e_exact);
+  EXPECT_LT(gb::relative_error(e_fast, e_exact), 1e-3);
+}
+
+TEST(DriverTest, RepeatedSingleThreadRunsAreBitIdentical) {
+  // One worker per rank: the rank-local plans are evaluated serially,
+  // so repeated runs of a static division reproduce the energy and
+  // radii bit for bit. (kDynamicChunks is left out: which rank sums
+  // which chunk depends on request timing.)
+  const auto mol = molecule::generate_protein(700, 143);
+  for (const WorkDivision division :
+       {WorkDivision::kNodeNode, WorkDivision::kNodeNodeWeighted}) {
+    DriverConfig config;
+    config.num_ranks = 3;
+    config.division = division;
+    const DriverResult a = run_distributed(mol, config);
+    const DriverResult b = run_distributed(mol, config);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.energy),
+              std::bit_cast<std::uint64_t>(b.energy));
+    EXPECT_TRUE(a.born_radii == b.born_radii);
+  }
 }
 
 TEST(WorkDivisionTest, DynamicChunksMatchStaticExactly) {

@@ -308,12 +308,9 @@ TEST(ServeTest, RefitMatchesRebuildWithinTolerance) {
 }
 
 TEST(ServeTest, RefitReusesCachedInteractionPlan) {
-  // With the two-phase engine, a refit request inherits the base
-  // entry's interaction plan and runs zero traversal; the counter in
-  // ServiceStats proves the reuse actually happened.
-  if (!gb::use_batched_engine()) {
-    GTEST_SKIP() << "OCTGB_FUSED_TRAVERSAL set: no plans to reuse";
-  }
+  // A refit request inherits the base entry's interaction plan and runs
+  // zero traversal; the counter in ServiceStats proves the reuse
+  // actually happened.
   const auto mol = molecule::generate_protein(400, 31);
   serve::PolarizationService svc(test_config());
   const auto cold = svc.serve_now(make_request(1, mol));
@@ -333,6 +330,33 @@ TEST(ServeTest, RefitReusesCachedInteractionPlan) {
   const auto stats = svc.stats();
   EXPECT_EQ(stats.refits, 3u);
   EXPECT_EQ(stats.plan_reuses, 3u);
+}
+
+TEST(ServeTest, R4RefitReusesCachedInteractionPlan) {
+  // The plan is Born-kernel independent, so r^4 requests are planned
+  // and plan-cached exactly like r^6 ones, and a cold r^4 request is
+  // bit-identical to the one-shot driver.
+  const auto mol = molecule::generate_protein(400, 37);
+  serve::ServiceConfig cfg = test_config();
+  serve::PolarizationService svc(cfg);
+  auto r4_request = [](std::uint64_t id, molecule::Molecule m) {
+    serve::Request req = make_request(id, std::move(m));
+    req.params.kernel = gb::BornKernel::kSurfaceR4;
+    return req;
+  };
+  const auto cold = svc.serve_now(r4_request(1, mol));
+  ASSERT_EQ(cold.status, serve::Status::kOk);
+  ASSERT_EQ(cold.path, serve::Path::kColdBuild);
+  EXPECT_FALSE(cold.plan_reused);
+  gb::CalculatorParams r4;
+  r4.kernel = gb::BornKernel::kSurfaceR4;
+  EXPECT_EQ(cold.energy, gb::compute_gb_energy(mol, r4).energy);
+
+  const auto refit = svc.serve_now(r4_request(2, jittered(mol, 0.02, 38)));
+  ASSERT_EQ(refit.status, serve::Status::kOk);
+  ASSERT_EQ(refit.path, serve::Path::kRefit);
+  EXPECT_TRUE(refit.plan_reused);
+  EXPECT_EQ(svc.stats().plan_reuses, 1u);
 }
 
 TEST(ServeTest, LargeDriftFallsBackToRebuild) {
@@ -374,16 +398,14 @@ TEST(ServeTest, RekeyRefitRebuildsWhenKeysEscape) {
   const gb::GBResult rebuild = gb::compute_gb_energy(moved);
   EXPECT_LT(gb::relative_error(resp.energy, rebuild.energy), 0.15);
 
-  if (gb::use_batched_engine()) {
-    // Tiny drift against the rebuilt entry stays inside every leaf
-    // octant: no fallback this time, and its (fresh) plan is reused.
-    const auto fallbacks_before = svc.cache_stats().refit_fallbacks;
-    const auto small = svc.serve_now(
-        make_request(3, jittered(moved, 1e-4, 35)));
-    ASSERT_EQ(small.path, serve::Path::kRefit);
-    EXPECT_TRUE(small.plan_reused);
-    EXPECT_EQ(svc.cache_stats().refit_fallbacks, fallbacks_before);
-  }
+  // Tiny drift against the rebuilt entry stays inside every leaf
+  // octant: no fallback this time, and its (fresh) plan is reused.
+  const auto fallbacks_before = svc.cache_stats().refit_fallbacks;
+  const auto small =
+      svc.serve_now(make_request(3, jittered(moved, 1e-4, 35)));
+  ASSERT_EQ(small.path, serve::Path::kRefit);
+  EXPECT_TRUE(small.plan_reused);
+  EXPECT_EQ(svc.cache_stats().refit_fallbacks, fallbacks_before);
 }
 
 TEST(ServeTest, RefitDisabledForcesColdBuilds) {
