@@ -107,5 +107,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       trees.atoms, trees.qpoints, aparams, scope, nullptr);
   report = octgb::analysis::validate_plan(trees, part, aparams);
   if (!report.ok()) die("scoped interaction plan", report.str());
+
+  // The dual-tree Born visit (OCT_CILK): far items may have internal
+  // T_Q sources, which must still cover every q-leaf exactly once.
+  const octgb::gb::InteractionPlan dual = octgb::gb::build_interaction_plan(
+      trees.atoms, trees.qpoints, aparams, octgb::gb::PlanScope::born_only(),
+      nullptr, octgb::gb::Traversal::kDualTree);
+  report = octgb::analysis::validate_plan(trees, dual, aparams);
+  if (!report.ok()) die("dual-tree interaction plan", report.str());
   return 0;
 }

@@ -156,12 +156,15 @@ run_detlint() {
 run_tsan() {
   # The suites that exercise shared mutable state: the work-stealing
   # pool, the serving layer, the race stress battery, the simmpi rank
-  # threads, and the pooled surface loops (surface_test runs a pooled
-  # cold call; celllist_misc_test a pooled PoseScorer). The numeric
-  # kernels are data-parallel over disjoint ranges and add nothing but
-  # wall time here.
+  # threads, the pooled surface loops (surface_test runs a pooled cold
+  # call; celllist_misc_test a pooled PoseScorer), and the pooled plan
+  # builder and executor (kernels_batch_test; docking_test's pooled
+  # cross-tree Born plans). Executor chunks own whole targets and
+  # write disjoint ranges with plain stores, so a chunking bug is a
+  # data race TSan reports.
   local TSAN_TESTS=(parallel_test serve_test race_stress_test simmpi_test
-                    surface_test celllist_misc_test)
+                    surface_test celllist_misc_test kernels_batch_test
+                    docking_test)
   echo "==> tsan: ThreadSanitizer build of concurrency tests"
   cmake -B build-tsan -S . -DOCTGB_TSAN=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

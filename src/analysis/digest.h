@@ -1,14 +1,14 @@
 // digest.h -- order-sensitive FNV-1a-64 stream digest for the
 // determinism oracle (DESIGN.md section 17).
 //
-// The divergence oracle (tests/determinism_oracle_test.cpp and
-// bench/determinism_probe) asserts that every pipeline under a strict
-// determinism contract produces bit-identical output across repeated
-// runs and across worker counts. "Bit-identical" is checked by folding
-// the output into this digest and comparing the single u64: FNV-1a is
-// tiny, has no state beyond the accumulator, and is order-sensitive,
-// so a reordered-but-equal multiset of values (the classic symptom of
-// an iteration-order bug) still changes the digest.
+// The divergence oracle (tests/determinism_oracle_test.cpp) asserts
+// that every pipeline under a strict determinism contract produces
+// bit-identical output across repeated runs and across worker counts.
+// "Bit-identical" is checked by folding the output into this digest and
+// comparing the single u64: FNV-1a is tiny, has no state beyond the
+// accumulator, and is order-sensitive, so a reordered-but-equal
+// multiset of values (the classic symptom of an iteration-order bug)
+// still changes the digest.
 //
 // Values are fed as explicit primitives -- never as raw struct bytes,
 // where padding would fold indeterminate memory into the hash.

@@ -358,6 +358,19 @@ void check_coverage(const octree::Octree& tree,
   }
 }
 
+// Calls f(leaf) for every leaf of the subtree rooted at node n.
+template <typename F>
+void for_each_leaf(const octree::Octree& tree, std::uint32_t n, F&& f) {
+  const octree::Node& node = tree.node(n);
+  if (node.leaf) {
+    f(n);
+    return;
+  }
+  for (const std::uint32_t c : node.children) {
+    if (c != octree::Node::kInvalid) for_each_leaf(tree, c, f);
+  }
+}
+
 }  // namespace
 
 Report validate_plan(const octree::Octree& at, const octree::Octree& qt,
@@ -388,6 +401,42 @@ Report validate_plan(const octree::Octree& at, const octree::Octree& qt,
   check_chunks(plan.epol_near_chunks, plan.epol_near.size(), "epol_near");
   check_chunks(plan.epol_far_chunks, plan.epol_far.size(), "epol_far");
 
+  // Ownership, which the executors' plain stores rely on: each list is
+  // grouped by target, and no chunk boundary splits a target's items,
+  // so every accumulator is written by exactly one chunk.
+  const auto check_owned = [&rep, &at](
+                               const std::vector<gb::NodePair>& items,
+                               const std::vector<std::uint32_t>& chunks,
+                               const char* name) {
+    // Target ids of every list are below at.num_nodes(); larger ones
+    // are reported by the range checks further down.
+    std::vector<char> closed(at.num_nodes(), 0);
+    for (std::size_t i = 1; i < items.size(); ++i) {
+      const std::uint32_t prev = items[i - 1].target;
+      const std::uint32_t t = items[i].target;
+      if (t == prev || t >= closed.size() || prev >= closed.size()) {
+        continue;
+      }
+      closed[prev] = 1;
+      if (closed[t] != 0) {
+        rep.fail("plan: %s items of target %u are not contiguous", name,
+                 t);
+        break;
+      }
+    }
+    for (const std::uint32_t c : chunks) {
+      if (c > 0 && c < items.size() &&
+          items[c - 1].target == items[c].target) {
+        rep.fail("plan: %s chunk boundary %u splits target %u", name, c,
+                 items[c].target);
+      }
+    }
+  };
+  check_owned(plan.born_near, plan.born_near_chunks, "born_near");
+  check_owned(plan.born_far, plan.born_far_chunks, "born_far");
+  check_owned(plan.epol_near, plan.epol_near_chunks, "epol_near");
+  check_owned(plan.epol_far, plan.epol_far_chunks, "epol_far");
+
   if (scope.born_begin > scope.born_end ||
       scope.born_end > (at.empty() ? 0 : qt.num_leaves()) ||
       scope.epol_begin > scope.epol_end ||
@@ -399,8 +448,10 @@ Report validate_plan(const octree::Octree& at, const octree::Octree& qt,
   }
   if (at.empty()) return rep;
 
-  // ---- Born phase: source = T_Q leaf, items target T_A nodes. Every
-  // q-leaf in scope is covered exactly once; none outside it at all. ----
+  // ---- Born phase: source = T_Q node, items target T_A nodes. A far
+  // item's source may be internal (dual-tree plans); it counts for
+  // every q-leaf under it. Every q-leaf in scope is covered exactly
+  // once; none outside it at all. ----
   if (!qt.empty()) {
     const double factor2 = gb::born_far_factor2(params);
     // Group items by source q-leaf.
@@ -435,9 +486,6 @@ Report validate_plan(const octree::Octree& at, const octree::Octree& qt,
                  p.source);
         continue;
       }
-      if (!qt.node(p.source).leaf) {
-        rep.fail("plan[born_far]: source %u is not a q-leaf", p.source);
-      }
       const octree::Node& a = at.node(p.target);
       const octree::Node& q = qt.node(p.source);
       const double s = a.radius + q.radius;
@@ -447,7 +495,9 @@ Report validate_plan(const octree::Octree& at, const octree::Octree& qt,
                  "(1+2/eps) separation (d=%.6g, rA+rQ=%.6g)",
                  p.target, p.source, std::sqrt(d2), s);
       }
-      ++by_source[p.source][p.target];
+      for_each_leaf(qt, p.source, [&](std::uint32_t qleaf) {
+        ++by_source[qleaf][p.target];
+      });
     }
     if (by_source.size() > qt.num_leaves()) {
       rep.fail("plan[born]: %zu distinct sources for %zu q-leaves",

@@ -69,8 +69,12 @@ Report validate_born_octrees(const gb::BornOctrees& trees,
 /// d > 0; near pairs name leaves that fail it (Born phase; the E_pol
 /// phase classifies leaves before the criterion, mirroring Figure 3);
 /// chunk tables start at 0, end at the list size and increase
-/// monotonically. `qpoints` is the Born phase's source tree, which may
-/// belong to another molecule (docking cross plans).
+/// monotonically; every list is grouped by target and no chunk boundary
+/// splits a target's items (the ownership the executors' plain stores
+/// rely on). Born far sources may be internal T_Q nodes (dual-tree
+/// plans) and cover every q-leaf under them. `qpoints` is the Born
+/// phase's source tree, which may belong to another molecule (docking
+/// cross plans).
 Report validate_plan(const octree::Octree& atoms,
                      const octree::Octree& qpoints,
                      const gb::InteractionPlan& plan,

@@ -252,102 +252,10 @@ BornRadiiResult born_radii_dualtree(const BornOctrees& trees,
                                     const surface::QuadratureSurface& surf,
                                     const ApproxParams& params,
                                     parallel::WorkStealingPool* pool) {
-  BornWorkspace ws(trees);
-  if (!trees.atoms.empty() && !trees.qpoints.empty()) {
-    const double factor2 = born_far_factor2(params);
-    const BornInputs in = born_inputs(trees, mol, surf);
-
-    // Simultaneous traversal, collected into an explicit pair frontier
-    // so the leaf-level work can be distributed by the scheduler.
-    struct Pair {
-      std::uint32_t a, q;
-    };
-    std::vector<Pair> frontier{{trees.atoms.root_index(),
-                                trees.qpoints.root_index()}};
-    std::vector<Pair> work;  // pairs ready for direct evaluation
-    const std::size_t expand_target = pool ? 4096 : 1;
-
-    auto classify = [&](const Pair& pr, auto&& emit_pair,
-                        auto&& emit_work) {
-      const octree::Node& a_node = trees.atoms.node(pr.a);
-      const octree::Node& q_node = trees.qpoints.node(pr.q);
-      const double s = a_node.radius + q_node.radius;
-      const double d2 = geom::distance2(a_node.center, q_node.center);
-      if ((d2 > s * s * factor2 && d2 > 0.0) ||
-          (a_node.leaf && q_node.leaf)) {
-        emit_work(pr);
-        return;
-      }
-      // Recurse into the non-leaf side(s); when both are internal split
-      // the one with the larger radius (keeps pairs well-balanced).
-      const bool split_a =
-          !a_node.leaf && (q_node.leaf || a_node.radius >= q_node.radius);
-      if (split_a) {
-        for (const auto child : a_node.children) {
-          if (child != octree::Node::kInvalid) emit_pair({child, pr.q});
-        }
-      } else {
-        for (const auto child : q_node.children) {
-          if (child != octree::Node::kInvalid) emit_pair({pr.a, child});
-        }
-      }
-    };
-
-    while (!frontier.empty() && frontier.size() + work.size() < expand_target) {
-      std::vector<Pair> next;
-      next.reserve(frontier.size() * 4);
-      for (const Pair& pr : frontier) {
-        classify(
-            pr, [&](Pair p) { next.push_back(p); },
-            [&](Pair p) { work.push_back(p); });
-      }
-      frontier = std::move(next);
-    }
-
-    auto process = [&](const Pair& start) {
-      // Depth-first from `start`, evaluating far/leaf pairs in place.
-      std::vector<Pair> stack{start};
-      while (!stack.empty()) {
-        const Pair pr = stack.back();
-        stack.pop_back();
-        classify(
-            pr, [&](Pair p) { stack.push_back(p); },
-            [&](Pair p) {
-              const octree::Node& a_node = trees.atoms.node(p.a);
-              const octree::Node& q_node = trees.qpoints.node(p.q);
-              const double s = a_node.radius + q_node.radius;
-              const double d2 =
-                  geom::distance2(a_node.center, q_node.center);
-              if (d2 > s * s * factor2 && d2 > 0.0) {
-                born_far_deposit(in, p.a, p.q, ws, /*atomic=*/true);
-              } else {
-                born_exact_leaf_pair(in, p.a, p.q, ws, /*atomic=*/true);
-              }
-            });
-      }
-    };
-
-    std::vector<Pair> all(std::move(work));
-    all.insert(all.end(), frontier.begin(), frontier.end());
-    if (pool != nullptr) {
-      pool->run([&] {
-        parallel::parallel_for(*pool, 0, all.size(), 1,
-                               [&](std::size_t lo, std::size_t hi) {
-                                 for (std::size_t i = lo; i < hi; ++i) {
-                                   process(all[i]);
-                                 }
-                               });
-      });
-    } else {
-      for (const Pair& pr : all) process(pr);
-    }
-  }
-
-  BornRadiiResult out;
-  out.radii.assign(mol.size(), 0.0);
-  push_integrals_to_atoms(trees, mol, ws, 0, mol.size(), params, out.radii,
-                          pool);
-  return out;
+  const InteractionPlan plan = build_interaction_plan(
+      trees.atoms, trees.qpoints, params, PlanScope::born_only(), pool,
+      Traversal::kDualTree);
+  return born_radii_batched(trees, mol, surf, plan, params, pool);
 }
 
 }  // namespace octgb::gb

@@ -17,8 +17,8 @@
 //    prior shared-memory work [Chowdhury & Bajaj 2010], used by the
 //    OCT_CILK driver (Section IV: "The major difference of our approach
 //    from [6] is that we only traverse one octree instead of two"). It
-//    classifies and evaluates in one walk, through the executor's scalar
-//    blocks.
+//    is a visit order of the plan builder (Traversal::kDualTree), so it
+//    evaluates on the same executor.
 //
 // Far-field criterion: by default (A, Q) is far when
 //     r_AQ > (r_A + r_Q) * (1 + 2/eps),
@@ -68,15 +68,15 @@ std::vector<geom::Vec3> q_weighted_normals(
 
 /// Squared Born far-field factor: (A, Q) is far iff
 /// d^2 > (r_A + r_Q)^2 * born_far_factor2(params). Shared by the plan
-/// builder and the dual-tree walker. Throws std::invalid_argument for
-/// eps <= 0.
+/// builder (both visits) and validate_plan. Throws
+/// std::invalid_argument for eps <= 0.
 double born_far_factor2(const ApproxParams& params);
 
 /// Mutable accumulators for one Born-radius computation. node_s is
 /// indexed by T_A node id, atom_s by *original* atom id. Pooled
-/// accumulation uses atomic adds, so concurrent workers / leaf tasks may
-/// share one workspace; in the distributed drivers each rank owns a
-/// private workspace that is later merged with MPI_Allreduce.
+/// executors give each slot one owning chunk (plain stores); in the
+/// distributed drivers each rank owns a private workspace that is later
+/// merged with MPI_Allreduce.
 struct BornWorkspace {
   std::vector<double> node_s;
   std::vector<double> atom_s;
@@ -154,7 +154,8 @@ BornRadiiResult born_radii_octree(const BornOctrees& trees,
                                   const ApproxParams& params,
                                   parallel::WorkStealingPool* pool = nullptr);
 
-/// The dual-tree (simultaneous traversal) variant used by OCT_CILK.
+/// The dual-tree (simultaneous traversal) variant used by OCT_CILK: a
+/// dual-tree Born-only plan, evaluated like born_radii_octree's.
 BornRadiiResult born_radii_dualtree(const BornOctrees& trees,
                                     const molecule::Molecule& mol,
                                     const surface::QuadratureSurface& surf,

@@ -32,30 +32,24 @@ GBResult compute_gb_energy(const molecule::Molecule& mol,
   }();
   result.t_tree_build = timer.seconds();
 
-  // Single-tree runs build one plan for both phases and evaluate it
-  // with either Born kernel. The dual-tree walkers classify and
-  // evaluate in one pass; r^4 has no dual-tree walker, so its Born
-  // phase stays on the plan.
+  // One plan carries the Born phase of either traversal, for either
+  // Born kernel; the dual-tree E_pol phase keeps its own walker.
   const bool dual = traversal == Traversal::kDualTree;
-  const bool dual_born = dual && params.kernel == BornKernel::kSurfaceR6;
   PlanScope scope;
-  if (dual_born) scope.born_end = 0;
   if (dual) scope.epol_end = 0;
   timer.restart();
   const InteractionPlan plan = [&] {
     OCTGB_TRACE_SCOPE("calc/plan_build");
     return build_interaction_plan(trees.atoms, trees.qpoints, params.approx,
-                                  scope, pool);
+                                  scope, pool, traversal);
   }();
   result.t_plan = timer.seconds();
 
   timer.restart();
   BornRadiiResult born = [&] {
     OCTGB_TRACE_SCOPE("calc/born");
-    return dual_born ? born_radii_dualtree(trees, mol, surf, params.approx,
-                                           pool)
-                     : born_radii_batched(trees, mol, surf, plan,
-                                          params.approx, params.kernel, pool);
+    return born_radii_batched(trees, mol, surf, plan, params.approx,
+                              params.kernel, pool);
   }();
   result.t_born = timer.seconds();
 

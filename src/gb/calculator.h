@@ -21,12 +21,6 @@
 
 namespace octgb::gb {
 
-/// Traversal strategy for the octree solver.
-enum class Traversal {
-  kSingleTree,  // this paper's algorithm (Figures 2-4)
-  kDualTree,    // prior shared-memory algorithm [6], used by OCT_CILK
-};
-
 /// All knobs in one bundle.
 struct CalculatorParams {
   ApproxParams approx;
@@ -43,8 +37,9 @@ struct GBResult {
   std::size_t num_qpoints = 0;
 
   // Per-phase wall-clock seconds. t_plan is the interaction-list
-  // traversal (both kernels); zero on the dual-tree r^6 path, whose
-  // walkers classify and evaluate in one pass.
+  // traversal (both kernels and both traversals; on the dual-tree path
+  // it covers the Born phase only, whose E_pol walker classifies and
+  // evaluates in one pass).
   double t_surface = 0.0;
   double t_tree_build = 0.0;
   double t_plan = 0.0;

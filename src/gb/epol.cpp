@@ -180,13 +180,15 @@ EpolResult epol_dualtree(const octree::Octree& tree,
     return sum;
   };
 
-  // Expand a frontier for parallel distribution (as in born dual-tree).
-  // Terminal pairs (far boxes / leaf-leaf blocks) encountered during
-  // expansion are evaluated immediately into expanded_sum; only pairs
-  // that still need recursion stay in the frontier.
+  // Expand a frontier for parallel distribution. Terminal pairs (far
+  // boxes / leaf-leaf blocks) encountered during expansion are evaluated
+  // immediately into expanded_sum; only pairs that still need recursion
+  // stay in the frontier. The size bound is a constant, so the
+  // summation order -- and the energy -- is the same with or without a
+  // pool.
   std::vector<Pair> frontier{{tree.root_index(), tree.root_index()}};
   double expanded_sum = 0.0;
-  const std::size_t expand_target = pool ? 4096 : 1;
+  constexpr std::size_t expand_target = 4096;
   while (!frontier.empty() && frontier.size() < expand_target) {
     std::vector<Pair> next;
     next.reserve(frontier.size() * 4);

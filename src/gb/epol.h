@@ -88,7 +88,8 @@ EpolResult epol_octree(const octree::Octree& tree,
 
 /// Dual-tree variant used by OCT_CILK: simultaneous traversal starting
 /// from (root, root); ordered pairs partitioned into far boxes and
-/// leaf-leaf blocks. Same result class, different traversal order.
+/// leaf-leaf blocks. Same result class, different traversal order; the
+/// energy's bits do not depend on the pool or its worker count.
 EpolResult epol_dualtree(const octree::Octree& tree,
                          const molecule::Molecule& mol,
                          std::span<const double> born_radii,

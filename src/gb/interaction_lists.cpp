@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <stdexcept>
 
 #include "src/analysis/contracts.h"
@@ -15,21 +16,11 @@ namespace octgb::gb {
 
 namespace {
 
-// Work items produced by one contiguous range of source leaves. The
-// parallel builder fills one of these per range and concatenates them in
-// range order, so the merged lists are identical to a serial build.
-struct LocalLists {
-  std::vector<NodePair> born_near;
-  std::vector<NodePair> born_far;
-  std::vector<NodePair> epol_near;
-  std::vector<NodePair> epol_far;
-};
-
 // Born-phase traversal for one T_Q leaf (Figure 2): far test first,
 // then leaf, then children pushed in declaration order.
 void plan_born_leaf(const octree::Octree& atoms_tree,
                     const octree::Octree& q_tree, std::uint32_t qleaf,
-                    double factor2, LocalLists& out) {
+                    double factor2, InteractionPlan& out) {
   const octree::Node& q_node = q_tree.node(qleaf);
   std::uint32_t stack[256];  // >= 7 * max_depth + 8 entries
   int top = 0;
@@ -51,12 +42,85 @@ void plan_born_leaf(const octree::Octree& atoms_tree,
   }
 }
 
+// One step of the dual-tree visit [Chowdhury & Bajaj 2010] on the
+// (T_A node, T_Q node) pair `p`: a far pair is a monopole deposit, a
+// leaf x leaf pair an exact block; otherwise the larger internal node
+// is split and its child pairs handed to `split`. Returns true when `p`
+// was emitted.
+template <typename Split>
+bool visit_born_dual(const octree::Octree& atoms_tree,
+                     const octree::Octree& q_tree, NodePair p,
+                     double factor2, InteractionPlan& out, Split&& split) {
+  const octree::Node& a_node = atoms_tree.node(p.target);
+  const octree::Node& q_node = q_tree.node(p.source);
+  const double s = a_node.radius + q_node.radius;
+  const double d2 = geom::distance2(a_node.center, q_node.center);
+  if (d2 > s * s * factor2 && d2 > 0.0) {
+    out.born_far.push_back(p);
+    return true;
+  }
+  if (a_node.leaf && q_node.leaf) {
+    out.born_near.push_back(p);
+    return true;
+  }
+  const bool split_a =
+      !a_node.leaf && (q_node.leaf || a_node.radius >= q_node.radius);
+  for (const auto child : split_a ? a_node.children : q_node.children) {
+    if (child == octree::Node::kInvalid) continue;
+    split(split_a ? NodePair{child, p.source} : NodePair{p.target, child});
+  }
+  return false;
+}
+
+// Depth-first dual-tree visit below one frontier pair.
+void plan_born_dual(const octree::Octree& atoms_tree,
+                    const octree::Octree& q_tree, NodePair start,
+                    double factor2, InteractionPlan& out) {
+  std::vector<NodePair> stack{start};
+  while (!stack.empty()) {
+    const NodePair p = stack.back();
+    stack.pop_back();
+    visit_born_dual(atoms_tree, q_tree, p, factor2, out,
+                    [&](NodePair c) { stack.push_back(c); });
+  }
+}
+
+// Breadth-first expansion of (root, root) into the dual visit's
+// frontier: pairs still to be split are replaced by their children in
+// place, emitted pairs stay as they are (their depth-first visit emits
+// just themselves). The size bound is a constant, so the frontier -- and
+// with it the plan -- depends only on the trees.
+std::vector<NodePair> born_dual_frontier(const octree::Octree& atoms_tree,
+                                         const octree::Octree& q_tree,
+                                         double factor2) {
+  constexpr std::size_t kFrontierPairs = 4096;
+  std::vector<NodePair> frontier{
+      {atoms_tree.root_index(), q_tree.root_index()}};
+  InteractionPlan scratch;
+  bool split_any = true;
+  while (split_any && frontier.size() < kFrontierPairs) {
+    split_any = false;
+    std::vector<NodePair> next;
+    for (const NodePair p : frontier) {
+      if (visit_born_dual(atoms_tree, q_tree, p, factor2, scratch,
+                          [&](NodePair c) { next.push_back(c); })) {
+        next.push_back(p);
+      } else {
+        split_any = true;
+      }
+    }
+    frontier = std::move(next);
+  }
+  return frontier;
+}
+
 // E_pol-phase traversal for one T_A leaf V (Figure 3): leaf check
 // FIRST, then the far test, then children. `vleaf_ord` is V's ordinal
 // in tree.leaves() -- the plan records ordinals so the executor can
 // keep per-leaf accumulators in a flat array.
 void plan_epol_leaf(const octree::Octree& tree, std::uint32_t vleaf_ord,
-                    std::uint32_t vleaf, double far_mult, LocalLists& out) {
+                    std::uint32_t vleaf, double far_mult,
+                    InteractionPlan& out) {
   const octree::Node& v_node = tree.node(vleaf);
   std::uint32_t stack[256];
   int top = 0;
@@ -82,13 +146,13 @@ void plan_epol_leaf(const octree::Octree& tree, std::uint32_t vleaf_ord,
 
 // Splits `items` into chunks of roughly equal estimated cost. Greedy
 // forward scan: close the current chunk once it holds >= total/target
-// cost, at the first item boundary where `whole_targets` allows it (no
-// chunk then splits the items of one target). Offsets always start at
-// 0 and end at items.size().
+// cost, at the first item boundary between two targets, so no chunk
+// splits the items of one target. Offsets always start at 0 and end at
+// items.size().
 template <typename CostFn>
 std::vector<std::uint32_t> make_chunks(const std::vector<NodePair>& items,
                                        std::size_t target_chunks,
-                                       bool whole_targets, CostFn&& cost) {
+                                       CostFn&& cost) {
   std::vector<std::uint32_t> offsets{0};
   if (items.empty()) {
     return offsets;
@@ -101,13 +165,94 @@ std::vector<std::uint32_t> make_chunks(const std::vector<NodePair>& items,
   for (std::size_t i = 0; i < items.size(); ++i) {
     acc += cost(items[i]);
     if (acc >= per_chunk && i + 1 < items.size() &&
-        (!whole_targets || items[i + 1].target != items[i].target)) {
+        items[i + 1].target != items[i].target) {
       offsets.push_back(static_cast<std::uint32_t>(i + 1));
       acc = 0.0;
     }
   }
   offsets.push_back(static_cast<std::uint32_t>(items.size()));
   return offsets;
+}
+
+using PairList = std::vector<NodePair> InteractionPlan::*;
+constexpr PairList kPairLists[] = {
+    &InteractionPlan::born_near, &InteractionPlan::born_far,
+    &InteractionPlan::epol_near, &InteractionPlan::epol_far};
+
+// Merges the buckets' lists into `plan` with a stable counting sort by
+// target -- the three phases of src/parallel/radix_sort.h with one
+// digit: per-bucket per-target counts (cursor[b * T + t]), an exclusive
+// scan over (target, bucket), and a per-bucket scatter on the pool.
+// Each target's items keep bucket order and emission order within a
+// bucket, so the merged lists are target-major, and a target's items
+// stay in the serial visit order whatever the bucket count. E_pol
+// buckets are already grouped by ascending v-leaf, so the sort leaves
+// those lists as a concatenation would.
+void merge_by_target(std::vector<InteractionPlan>& buckets,
+                     std::size_t born_targets, std::size_t epol_targets,
+                     InteractionPlan& plan,
+                     parallel::WorkStealingPool* pool) {
+  const std::size_t nb = buckets.size();
+  const std::size_t num_targets[] = {born_targets, born_targets,
+                                     epol_targets, epol_targets};
+  static_assert(std::size(num_targets) == std::size(kPairLists));
+  std::vector<std::uint32_t> cursor[std::size(kPairLists)];
+  const auto for_buckets = [&](auto&& body) {
+    if (pool == nullptr || nb <= 1) {
+      for (std::size_t b = 0; b < nb; ++b) body(b);
+      return;
+    }
+    pool->run([&] {
+      parallel::parallel_for(*pool, 0, nb, 1,
+                             [&](std::size_t lo, std::size_t hi) {
+                               for (std::size_t b = lo; b < hi; ++b) body(b);
+                             });
+    });
+  };
+
+  // One bucket already in target order -- a serial build's E_pol
+  // lists -- is its merged list as it stands.
+  bool in_place[std::size(kPairLists)] = {};
+  for (std::size_t l = 0; l < std::size(kPairLists); ++l) {
+    std::vector<NodePair>& only = buckets[0].*kPairLists[l];
+    in_place[l] = nb == 1 && std::is_sorted(only.begin(), only.end(),
+                                            [](NodePair x, NodePair y) {
+                                              return x.target < y.target;
+                                            });
+    if (in_place[l]) (plan.*kPairLists[l]).swap(only);
+    cursor[l].assign(nb * num_targets[l], 0);
+  }
+  for_buckets([&](std::size_t b) {
+    for (std::size_t l = 0; l < std::size(kPairLists); ++l) {
+      std::uint32_t* counts = &cursor[l][b * num_targets[l]];
+      for (const NodePair& p : buckets[b].*kPairLists[l]) ++counts[p.target];
+    }
+  });
+  for (std::size_t l = 0; l < std::size(kPairLists); ++l) {
+    if (in_place[l]) continue;
+    const std::size_t nt = num_targets[l];
+    std::uint32_t total = 0;
+    for (std::size_t t = 0; t < nt; ++t) {
+      for (std::size_t b = 0; b < nb; ++b) {
+        const std::uint32_t count = cursor[l][b * nt + t];
+        cursor[l][b * nt + t] = total;
+        total += count;
+      }
+    }
+    (plan.*kPairLists[l]).resize(total);
+  }
+  for_buckets([&](std::size_t b) {
+    for (std::size_t l = 0; l < std::size(kPairLists); ++l) {
+      std::uint32_t* slot = &cursor[l][b * num_targets[l]];
+      NodePair* out = (plan.*kPairLists[l]).data();
+      for (const NodePair& p : buckets[b].*kPairLists[l]) {
+        out[slot[p.target]++] = p;
+      }
+      // Spent: free it here, on the pool, rather than at the caller's
+      // return.
+      std::vector<NodePair>().swap(buckets[b].*kPairLists[l]);
+    }
+  });
 }
 
 }  // namespace
@@ -129,7 +274,8 @@ InteractionPlan build_interaction_plan(const octree::Octree& atoms,
                                        const octree::Octree& qpoints,
                                        const ApproxParams& params,
                                        const PlanScope& scope,
-                                       parallel::WorkStealingPool* pool) {
+                                       parallel::WorkStealingPool* pool,
+                                       Traversal traversal) {
   OCTGB_TRACE_SCOPE("gb/plan_build");
   const bool want_born = scope.born_begin < scope.born_end;
   const bool want_epol = scope.epol_begin < scope.epol_end;
@@ -155,14 +301,31 @@ InteractionPlan build_interaction_plan(const octree::Octree& atoms,
       clamp(scope.epol_begin, scope.epol_end, want_epol ? a_leaves.size() : 0);
   plan.scope = {qb, qe, vb, ve};
 
-  // Both phases iterate source leaves; process them as one index space
-  // [0, nq + nv) so a single range partition load-balances both.
-  const std::size_t nq = qe - qb;
-  const std::size_t total_leaves = nq + (ve - vb);
+  // The dual visit starts from the frontier of (root, root), so it
+  // covers every q-leaf or none.
+  const bool dual = traversal == Traversal::kDualTree;
+  if (dual && qb < qe && (qb != 0 || qe != q_leaves.size())) {
+    throw std::invalid_argument(
+        "build_interaction_plan: a dual-tree plan covers every q-leaf");
+  }
+  const std::vector<NodePair> frontier =
+      dual && qb < qe ? born_dual_frontier(atoms, qpoints, factor2)
+                      : std::vector<NodePair>{};
 
-  auto range_body = [&](std::size_t lo, std::size_t hi, LocalLists& out) {
+  // Both phases iterate source units -- q-leaves, or frontier pairs of
+  // the dual visit, then v-leaves -- as one index space [0, nq + nv),
+  // so a single range partition load-balances both.
+  const std::size_t nq = dual ? frontier.size() : qe - qb;
+  const std::size_t total_units = nq + (ve - vb);
+
+  auto range_body = [&](std::size_t lo, std::size_t hi,
+                        InteractionPlan& out) {
     for (std::size_t i = lo; i < hi && i < nq; ++i) {
-      plan_born_leaf(atoms, qpoints, q_leaves[qb + i], factor2, out);
+      if (dual) {
+        plan_born_dual(atoms, qpoints, frontier[i], factor2, out);
+      } else {
+        plan_born_leaf(atoms, qpoints, q_leaves[qb + i], factor2, out);
+      }
     }
     for (std::size_t i = std::max(lo, nq); i < hi; ++i) {
       const std::size_t ord = vb + (i - nq);
@@ -171,37 +334,28 @@ InteractionPlan build_interaction_plan(const octree::Octree& atoms,
     }
   };
 
-  // Fixed range decomposition (not dynamic chunking) keeps the merge
-  // order -- and therefore the plan -- independent of thread timing.
+  // Fixed range decomposition (not dynamic chunking), merged by a
+  // stable sort: the plan is independent of thread timing and of the
+  // worker count.
   const std::size_t num_ranges =
       pool == nullptr ? 1
-                      : std::min<std::size_t>(total_leaves,
+                      : std::min<std::size_t>(total_units,
                                               pool->num_workers() * 4);
-  std::vector<LocalLists> buckets(std::max<std::size_t>(1, num_ranges));
+  std::vector<InteractionPlan> buckets(std::max<std::size_t>(1, num_ranges));
   if (num_ranges <= 1) {
-    range_body(0, total_leaves, buckets[0]);
+    range_body(0, total_units, buckets[0]);
   } else {
     pool->run([&] {
       parallel::TaskGroup tg(*pool);
       for (std::size_t r = 0; r < num_ranges; ++r) {
-        const std::size_t lo = total_leaves * r / num_ranges;
-        const std::size_t hi = total_leaves * (r + 1) / num_ranges;
+        const std::size_t lo = total_units * r / num_ranges;
+        const std::size_t hi = total_units * (r + 1) / num_ranges;
         tg.spawn([&, lo, hi, r] { range_body(lo, hi, buckets[r]); });
       }
       tg.wait();
     });
   }
-
-  for (const LocalLists& b : buckets) {
-    plan.born_near.insert(plan.born_near.end(), b.born_near.begin(),
-                          b.born_near.end());
-    plan.born_far.insert(plan.born_far.end(), b.born_far.begin(),
-                         b.born_far.end());
-    plan.epol_near.insert(plan.epol_near.end(), b.epol_near.begin(),
-                          b.epol_near.end());
-    plan.epol_far.insert(plan.epol_far.end(), b.epol_far.begin(),
-                         b.epol_far.end());
-  }
+  merge_by_target(buckets, atoms.num_nodes(), a_leaves.size(), plan, pool);
 
   // Cost-balanced chunk tables for the executor. Near pairs cost the
   // product of their point counts; a far deposit is one kernel call; a
@@ -214,18 +368,18 @@ InteractionPlan build_interaction_plan(const octree::Octree& atoms,
     return static_cast<double>(t.node(n).count());
   };
   plan.born_near_chunks = make_chunks(
-      plan.born_near, kTargetChunks, false, [&](const NodePair& p) {
+      plan.born_near, kTargetChunks, [&](const NodePair& p) {
         return count_of(atoms, p.target) * count_of(qpoints, p.source);
       });
-  plan.born_far_chunks = make_chunks(plan.born_far, kTargetChunks, false,
+  plan.born_far_chunks = make_chunks(plan.born_far, kTargetChunks,
                                      [](const NodePair&) { return 1.0; });
   plan.epol_near_chunks = make_chunks(
-      plan.epol_near, kTargetChunks, true, [&](const NodePair& p) {
+      plan.epol_near, kTargetChunks, [&](const NodePair& p) {
         return count_of(atoms, a_leaves[p.target]) *
                count_of(atoms, p.source);
       });
   plan.epol_far_chunks =
-      make_chunks(plan.epol_far, kTargetChunks, true,
+      make_chunks(plan.epol_far, kTargetChunks,
                   [](const NodePair&) { return kFarBinCost; });
 
 #if defined(OCTGB_VALIDATE_BUILD)

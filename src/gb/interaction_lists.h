@@ -3,12 +3,12 @@
 // The single-tree traversals of Figures 2 and 3 are split from kernel
 // evaluation (the split Hu et al. make for FMMs: the interaction list is
 // the data structure, evaluating it is a separate pass). This module is
-// the only single-tree traversal in the library: it walks the trees with
-// the Greengard-Rokhlin criteria and emits compact work items into an
-// InteractionPlan:
+// the only single-tree traversal in the library, and the only Born
+// traversal: it walks the trees with the Greengard-Rokhlin criteria and
+// emits compact work items into an InteractionPlan:
 //
 //  * Born near pairs  (T_A leaf,  T_Q leaf)  -> exact r^6 / r^4 blocks,
-//  * Born far pairs   (T_A node,  T_Q leaf)  -> monopole deposits,
+//  * Born far pairs   (T_A node,  T_Q node)  -> monopole deposits,
 //  * E_pol near pairs (T_A leaf u, T_A leaf v) -> exact f_GB blocks,
 //  * E_pol far pairs  (T_A node u, T_A leaf v) -> bin-vs-bin blocks.
 //
@@ -17,14 +17,18 @@
 // v-leaves for the E_pol phase, so each distributed rank (and each
 // dynamic E_pol chunk) builds only its own share of Figure 4's work.
 // The Born phase's atoms and q-point trees may belong to different
-// molecules (docking cross terms).
+// molecules (docking cross terms). Born sources are T_Q leaves in the
+// single-tree visit; the dual-tree visit of OCT_CILK (Traversal) also
+// emits far pairs with internal T_Q nodes.
 //
-// Items are recorded source-leaf major, in the depth-first visit order
-// of Figures 2 and 3, so a serial scalar evaluation sums every
-// accumulator in one fixed order. Chunk offsets computed from a per-item
-// cost model make the lists schedulable on the work-stealing pool; E_pol
-// chunks close only at v-leaf boundaries, so each per-leaf accumulator
-// has exactly one owner.
+// Every list is target-major: a stable counting sort by target merges
+// the per-range traversal output, so each target's items are contiguous
+// and in the depth-first visit order of Figures 2 and 3 (q-leaf order
+// for Born targets). Chunk offsets computed from a per-item cost model
+// make the lists schedulable on the work-stealing pool, and every chunk
+// closes at a target boundary: each accumulator has exactly one owner,
+// which takes plain stores, and pooled evaluation sums it in the same
+// order as a serial one.
 //
 // The plan depends only on the tree geometry, the epsilons and the
 // scope -- not on charges, Born radii or the Born kernel -- so the
@@ -77,12 +81,13 @@ struct PlanScope {
 };
 
 /// The traversal's output: four flat lists of work items plus
-/// cost-balanced chunk offsets for scheduling. Lists are ordered
-/// source-leaf major (stack order within a leaf).
+/// cost-balanced chunk offsets for scheduling. Lists are ordered target
+/// major (visit order within a target).
 struct InteractionPlan {
   /// target = T_A *leaf* node id, source = T_Q leaf node id.
   std::vector<NodePair> born_near;
-  /// target = T_A node id (monopole deposit slot), source = T_Q leaf id.
+  /// target = T_A node id (monopole deposit slot), source = T_Q node id
+  /// (a leaf, except in dual-tree plans).
   std::vector<NodePair> born_far;
   /// target = ordinal of leaf v in tree.leaves(), source = T_A leaf u id.
   std::vector<NodePair> epol_near;
@@ -92,7 +97,7 @@ struct InteractionPlan {
   /// Chunk offsets into each list: chunk c is [chunks[c], chunks[c+1]).
   /// Chunks have roughly equal estimated cost, not equal item count --
   /// a near pair costs |A| * |Q| kernel evaluations, a far deposit one.
-  /// E_pol chunks never split one v-leaf's items.
+  /// No chunk splits the items of one target.
   std::vector<std::uint32_t> born_near_chunks;
   std::vector<std::uint32_t> born_far_chunks;
   std::vector<std::uint32_t> epol_near_chunks;
@@ -114,13 +119,17 @@ struct InteractionPlan {
 /// (E_pol phase, Figure 3 criterion) for the v-leaves of scope.epol_*.
 /// `qpoints` is not read when the Born range is empty. With a pool the
 /// per-leaf traversals run as parallel tasks into per-range vectors
-/// that are merged in leaf order, so the plan is deterministic either
-/// way. Throws std::invalid_argument for a non-positive epsilon of a
-/// phase in scope.
+/// that are merged by a stable sort on the pool, so the plan is the same
+/// at any worker count. `traversal` picks the Born phase's visit:
+/// Figure 2's per-q-leaf walk, or the dual-tree walk from (root, root),
+/// which covers every q-leaf; the E_pol phase is always Figure 3's.
+/// Throws std::invalid_argument for a non-positive epsilon of a phase in
+/// scope, and for a dual-tree plan over part of the q-leaves.
 InteractionPlan build_interaction_plan(
     const octree::Octree& atoms, const octree::Octree& qpoints,
     const ApproxParams& params, const PlanScope& scope,
-    parallel::WorkStealingPool* pool = nullptr);
+    parallel::WorkStealingPool* pool = nullptr,
+    Traversal traversal = Traversal::kSingleTree);
 
 /// Both phases over every leaf of one molecule's trees.
 InteractionPlan build_interaction_plan(

@@ -4,50 +4,26 @@
 // point expression trees of the r^6/r^4 Born integrand, the Born-radius
 // map and the STILL f_GB pair term. The plan executor
 // (src/gb/kernels_batch.cpp, both engines and the AVX2 TU), the dual-tree
-// walkers and the atom-division ablation (src/runtime/drivers.cpp) all
-// include them; the naive O(N^2) reference (src/gb/naive.cpp) keeps its
+// E_pol walker and the atom-division ablation (src/runtime/drivers.cpp)
+// all include them; the naive O(N^2) reference (src/gb/naive.cpp) keeps its
 // own copies on purpose, so it stays an independent oracle.
 //
 // Sharing the expression *tree* (not just the formula) is what keeps
 // results reproducible across callers under a fixed reduction order: the
 // compiler contracts multiplies and adds into FMAs per expression shape,
 // so two textually different implementations of the same formula may
-// round differently. Do not duplicate these bodies.
+// round differently. Do not duplicate these bodies. The AVX2 TU is
+// compiled with -mfma, where GCC contracts even explicit mul/add
+// intrinsics into FMAs: the AVX2 rows agree with these bodies to
+// rounding, not bit for bit.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <numbers>
 
 #include "src/geom/vec3.h"
 
 namespace octgb::gb {
-
-/// Relaxed atomic accumulation into a shared double. Bitwise identical to
-/// a plain `target += value` when only one thread touches the slot, so
-/// serial plan execution is unaffected. Only the Born phase uses it: its
-/// lists are source-major, so workers share target slots.
-inline void kernel_atomic_add(double& target, double value) {
-  // Deposits land in completion order, so the last ulp of a shared
-  // slot can differ across worker counts; serial plan execution is the
-  // bit-exact configuration (DESIGN.md section 17).
-  // detlint:allow(shared-float-accum): serial execution is the oracle
-  std::atomic_ref<double>(target).fetch_add(value,
-                                            std::memory_order_relaxed);
-}
-
-/// Accumulation with a runtime atomicity switch: atomic when workers
-/// share the slot (pooled execution), a plain `+=` when the caller runs
-/// serially. Both orderings produce bitwise identical sums; the switch
-/// only buys back the lock-prefix cost on the serial path, where the
-/// batched engine spends millions of deposits per evaluation.
-inline void kernel_add(double& target, double value, bool atomic) {
-  if (atomic) {
-    kernel_atomic_add(target, value);
-  } else {
-    target += value;
-  }
-}
 
 /// Inverse kernel denominator: 1/d^Power given d^2, for the r^6 (Eq. 4)
 /// and r^4 (Eq. 3, Coulomb-field) Born integrals.

@@ -22,8 +22,9 @@ bool cpu_has_avx2_fma() {
 }
 
 // Runs the chunks of one plan list: serially in chunk order without a
-// pool (deterministic, the bit-exact configuration), as parallel tasks
-// of one chunk each with a pool. `body(b, e)` processes items [b, e).
+// pool, as parallel tasks of one chunk each with a pool. Chunks own
+// whole targets, so both give the same bits. `body(b, e)` processes
+// items [b, e).
 void run_chunks(parallel::WorkStealingPool* pool,
                 const std::vector<std::uint32_t>& chunks,
                 const std::function<void(std::uint32_t, std::uint32_t)>&
@@ -49,50 +50,6 @@ void run_chunks(parallel::WorkStealingPool* pool,
   });
 }
 
-#ifdef OCTGB_SIMD_AVX2
-// Flat node-center / q-weighted-normal arrays for the SIMD far row:
-// indexed by node id so plan items can be gathered without touching
-// the (much wider) octree::Node records.
-struct NodeCenterSoA {
-  std::vector<double> acx, acy, acz;       // atom-node centers
-  std::vector<double> qcx, qcy, qcz;       // q-node centers
-  std::vector<double> qwx, qwy, qwz;       // q-node weighted normals
-};
-
-NodeCenterSoA build_node_center_soa(const BornInputs& in) {
-  NodeCenterSoA soa;
-  const std::size_t na = in.atoms.num_nodes();
-  soa.acx.resize(na);
-  soa.acy.resize(na);
-  soa.acz.resize(na);
-  for (std::size_t n = 0; n < na; ++n) {
-    const geom::Vec3& c = in.atoms.node(static_cast<std::uint32_t>(n)).center;
-    soa.acx[n] = c.x;
-    soa.acy[n] = c.y;
-    soa.acz[n] = c.z;
-  }
-  const std::size_t nq = in.qpoints.num_nodes();
-  soa.qcx.resize(nq);
-  soa.qcy.resize(nq);
-  soa.qcz.resize(nq);
-  soa.qwx.resize(nq);
-  soa.qwy.resize(nq);
-  soa.qwz.resize(nq);
-  for (std::size_t n = 0; n < nq; ++n) {
-    const geom::Vec3& c =
-        in.qpoints.node(static_cast<std::uint32_t>(n)).center;
-    soa.qcx[n] = c.x;
-    soa.qcy[n] = c.y;
-    soa.qcz[n] = c.z;
-    const geom::Vec3& w = in.q_normals[n];
-    soa.qwx[n] = w.x;
-    soa.qwy[n] = w.y;
-    soa.qwz[n] = w.z;
-  }
-  return soa;
-}
-#endif  // OCTGB_SIMD_AVX2
-
 template <typename Math>
 double epol_row_scalar(const EpolSoA& soa, std::uint32_t ub,
                        std::uint32_t ue, double px, double py, double pz,
@@ -108,8 +65,7 @@ double epol_row_scalar(const EpolSoA& soa, std::uint32_t ub,
 // Exact kernel contributions of q-leaf Q to every atom of atom-leaf A.
 template <int Power>
 void exact_leaf_pair(const BornInputs& in, const octree::Node& a_node,
-                     const octree::Node& q_node, BornWorkspace& ws,
-                     bool atomic) {
+                     const octree::Node& q_node, BornWorkspace& ws) {
   const auto a_index = in.atoms.point_index();
   const auto q_index = in.qpoints.point_index();
   const auto positions = in.mol.positions();
@@ -122,21 +78,31 @@ void exact_leaf_pair(const BornInputs& in, const octree::Node& a_node,
       acc += born_term<Power>(in.surf.points[q], in.surf.normals[q],
                               in.surf.weights[q], x);
     }
-    kernel_add(ws.atom_s[a], acc, atomic);
+    ws.atom_s[a] += acc;
   }
 }
 
-// Far-field monopole deposit of q-node Q into atom-node A's accumulator.
-// Recomputes the distance expression the traversal classified with.
+// Far-field monopole deposits of born_far items [b, e): each target's
+// run is summed in a register seeded with its node_s slot, which sees
+// the same sequence of additions as one deposit per item. Recomputes
+// the distance expression the traversal classified with.
 template <int Power>
-void far_deposit(const BornInputs& in, std::uint32_t a_idx,
-                 std::uint32_t q_idx, BornWorkspace& ws, bool atomic) {
-  const octree::Node& a_node = in.atoms.node(a_idx);
-  const octree::Node& q_node = in.qpoints.node(q_idx);
-  const double d2 = geom::distance2(a_node.center, q_node.center);
-  const geom::Vec3 diff = q_node.center - a_node.center;
-  kernel_add(ws.node_s[a_idx],
-             in.q_normals[q_idx].dot(diff) * inv_pow<Power>(d2), atomic);
+void far_deposits(const BornInputs& in, const InteractionPlan& plan,
+                  std::uint32_t b, std::uint32_t e, BornWorkspace& ws) {
+  std::uint32_t i = b;
+  while (i < e) {
+    const std::uint32_t a_idx = plan.born_far[i].target;
+    const geom::Vec3 a_center = in.atoms.node(a_idx).center;
+    double acc = ws.node_s[a_idx];
+    for (; i < e && plan.born_far[i].target == a_idx; ++i) {
+      const std::uint32_t q_idx = plan.born_far[i].source;
+      const geom::Vec3& q_center = in.qpoints.node(q_idx).center;
+      const double d2 = geom::distance2(a_center, q_center);
+      const geom::Vec3 diff = q_center - a_center;
+      acc += in.q_normals[q_idx].dot(diff) * inv_pow<Power>(d2);
+    }
+    ws.node_s[a_idx] = acc;
+  }
 }
 
 // Off-diagonal STILL kernel of leaf V's atom (pv, qv, rv) against the
@@ -219,25 +185,17 @@ double far_block(const ChargeBins& bins, std::uint32_t u_idx,
   return sum;
 }
 
-// Scalar Born engine: every plan item through the blocks above.
+// Scalar engine's Born near field: every born_near item through
+// exact_leaf_pair.
 template <int Power>
-void born_scalar(const BornInputs& in, const InteractionPlan& plan,
-                 BornWorkspace& ws, parallel::WorkStealingPool* pool,
-                 bool atomic) {
+void born_near_scalar(const BornInputs& in, const InteractionPlan& plan,
+                      BornWorkspace& ws, parallel::WorkStealingPool* pool) {
   run_chunks(pool, plan.born_near_chunks,
              [&](std::uint32_t b, std::uint32_t e) {
                for (std::uint32_t i = b; i < e; ++i) {
                  const NodePair p = plan.born_near[i];
                  exact_leaf_pair<Power>(in, in.atoms.node(p.target),
-                                        in.qpoints.node(p.source), ws,
-                                        atomic);
-               }
-             });
-  run_chunks(pool, plan.born_far_chunks,
-             [&](std::uint32_t b, std::uint32_t e) {
-               for (std::uint32_t i = b; i < e; ++i) {
-                 const NodePair p = plan.born_far[i];
-                 far_deposit<Power>(in, p.target, p.source, ws, atomic);
+                                        in.qpoints.node(p.source), ws);
                }
              });
 }
@@ -394,18 +352,6 @@ double epol_far_bins(const ChargeBins& bins, std::uint32_t u_node,
   return epol_far_block(bins, u_node, v_node, d2, approx_math);
 }
 
-void born_exact_leaf_pair(const BornInputs& in, std::uint32_t a_leaf,
-                          std::uint32_t q_leaf, BornWorkspace& ws,
-                          bool atomic) {
-  exact_leaf_pair<6>(in, in.atoms.node(a_leaf), in.qpoints.node(q_leaf), ws,
-                     atomic);
-}
-
-void born_far_deposit(const BornInputs& in, std::uint32_t a_node,
-                      std::uint32_t q_node, BornWorkspace& ws, bool atomic) {
-  far_deposit<6>(in, a_node, q_node, ws, atomic);
-}
-
 double epol_exact_block(const octree::Octree& tree,
                         const molecule::Molecule& mol,
                         std::span<const double> born_radii,
@@ -463,68 +409,39 @@ void execute_born_plan(const BornInputs& in, const InteractionPlan& plan,
     }
   }
 #endif
-  // Serial execution owns every accumulator slot outright, so deposits
-  // can skip the lock prefix -- on million-item far lists the CAS loop
-  // is the dominant serial cost, not the arithmetic.
-  const bool atomic = pool != nullptr;
-  if (!use_simd) {
-    if (kernel == BornKernel::kSurfaceR4) {
-      born_scalar<4>(in, plan, ws, pool, atomic);
-    } else {
-      born_scalar<6>(in, plan, ws, pool, atomic);
-    }
-    return;
-  }
+  if (use_simd) {
 #ifdef OCTGB_SIMD_AVX2
-  const BornSoA soa = build_born_soa(in);
-  const auto a_index = in.atoms.point_index();
-  run_chunks(pool, plan.born_near_chunks,
-             [&](std::uint32_t b, std::uint32_t e) {
-               for (std::uint32_t i = b; i < e; ++i) {
-                 const NodePair p = plan.born_near[i];
-                 const octree::Node& a_node = in.atoms.node(p.target);
-                 const octree::Node& q_node = in.qpoints.node(p.source);
-                 for (std::uint32_t ai = a_node.begin; ai < a_node.end;
-                      ++ai) {
-                   const double acc =
-                       born_row(soa, q_node.begin, q_node.end, soa.ax[ai],
-                                soa.ay[ai], soa.az[ai], /*use_simd=*/true);
-                   kernel_add(ws.atom_s[a_index[ai]], acc, atomic);
+    const BornSoA soa = build_born_soa(in);
+    const auto a_index = in.atoms.point_index();
+    run_chunks(pool, plan.born_near_chunks,
+               [&](std::uint32_t b, std::uint32_t e) {
+                 for (std::uint32_t i = b; i < e; ++i) {
+                   const NodePair p = plan.born_near[i];
+                   const octree::Node& a_node = in.atoms.node(p.target);
+                   const octree::Node& q_node = in.qpoints.node(p.source);
+                   for (std::uint32_t ai = a_node.begin; ai < a_node.end;
+                        ++ai) {
+                     ws.atom_s[a_index[ai]] += born_row(
+                         soa, q_node.begin, q_node.end, soa.ax[ai],
+                         soa.ay[ai], soa.az[ai], /*use_simd=*/true);
+                   }
                  }
-               }
-             });
-  // The far list is the bulk of the plan (one monopole deposit per
-  // item), so it is worth a dedicated 4-item-per-pass kernel. The
-  // traversal emits born_far grouped by source q-leaf, so the list is
-  // runs of hundreds of items with a constant source: hoist the six
-  // q-side loads out of each run and vectorize only the target
-  // gathers. The deposit is pure sub/mul/add/div, which the AVX2 row
-  // reproduces lane-exactly -- SIMD far deposits are bit-identical to
-  // the scalar engine's, not just within tolerance (born_far_run_avx2).
-  const NodeCenterSoA far = build_node_center_soa(in);
-  static_assert(sizeof(NodePair) == 2 * sizeof(std::uint32_t));
+               });
+#endif
+  } else if (kernel == BornKernel::kSurfaceR4) {
+    born_near_scalar<4>(in, plan, ws, pool);
+  } else {
+    born_near_scalar<6>(in, plan, ws, pool);
+  }
+  // Both engines deposit the far field through the scalar loop.
   run_chunks(pool, plan.born_far_chunks,
              [&](std::uint32_t b, std::uint32_t e) {
-               std::uint32_t i = b;
-               while (i < e) {
-                 const std::uint32_t src = plan.born_far[i].source;
-                 std::uint32_t j = i + 1;
-                 while (j < e && plan.born_far[j].source == src) ++j;
-                 const auto* pairs = reinterpret_cast<const std::uint32_t*>(
-                     plan.born_far.data() + i);
-                 const std::uint32_t done = simd::born_far_run_avx2(
-                     pairs, j - i, far.acx.data(), far.acy.data(),
-                     far.acz.data(), far.qcx[src], far.qcy[src],
-                     far.qcz[src], far.qwx[src], far.qwy[src],
-                     far.qwz[src], ws.node_s.data(), atomic);
-                 for (std::uint32_t k = i + done; k < j; ++k) {
-                   far_deposit<6>(in, plan.born_far[k].target, src, ws,
-                                  atomic);
-                 }
-                 i = j;
+               if (kernel == BornKernel::kSurfaceR4) {
+                 far_deposits<4>(in, plan, b, e, ws);
+               } else {
+                 far_deposits<6>(in, plan, b, e, ws);
                }
              });
-#endif
 }
 
 double execute_epol_plan(const octree::Octree& tree,

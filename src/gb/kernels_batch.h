@@ -4,31 +4,31 @@
 // only code that evaluates the single-tree Born and E_pol phases. Two
 // engines share the plan:
 //
-//  * scalar: evaluates every work item through the block functions
-//    below (the dual-tree walkers reuse them), which share the
-//    expression trees of kernel_primitives.h. A serial scalar run sums
-//    every accumulator in plan order, which is the visit order of
-//    Figures 2 and 3; its bits are pinned by golden digests
-//    (tests/kernels_batch_test);
+//  * scalar: evaluates every work item through the blocks of
+//    kernel_primitives.h. A serial scalar run sums every accumulator in
+//    plan order, which is the visit order of Figures 2 and 3; its bits
+//    are pinned by golden digests (tests/kernels_batch_test);
 //  * SIMD: gathers atoms / q-points once into structure-of-arrays
 //    scratch permuted to Morton order (tree.point_index()), then runs
-//    4-wide AVX2+FMA row kernels over the contiguous leaf ranges. The
-//    approximate-math functions (util/fastmath.h) are vectorized with
-//    lane-identical algorithms, so per-element values match the scalar
-//    engine and only the reduction order differs (relative error
-//    ~1e-15, asserted < 1e-10 by tests/kernels_batch_test). The SIMD
-//    rows are r^6 only; the r^4 Born kernel runs the scalar engine.
+//    4-wide AVX2+FMA row kernels over the contiguous leaf ranges of the
+//    near lists and of the E_pol far bins. The approximate-math
+//    functions (util/fastmath.h) are vectorized with lane-identical
+//    algorithms, so per-element values match the scalar engine to
+//    rounding and the reduction order differs (relative error ~1e-15,
+//    asserted < 1e-10 by tests/kernels_batch_test). The SIMD rows are
+//    r^6 only; the r^4 Born kernel runs the scalar engine. Born far
+//    deposits run the scalar engine's loop in both engines: one
+//    target's run is summed in one register.
 //
 // Engine selection is runtime: the AVX2 code is compiled into its own
 // TU with -mavx2 -mfma (CMake option OCTGB_SIMD, default ON) and only
 // entered when the CPU reports AVX2+FMA and OCTGB_NO_SIMD is not set.
 // SimdMode::kForceScalar pins the scalar engine regardless.
 //
-// Pooled execution: E_pol chunks own whole v-leaves, so its per-leaf
-// accumulators take plain stores and the pooled energy is bit-identical
-// to the serial one at any worker count. Born lists are source-major, so
-// pooled Born deposits use relaxed atomic adds and are reproducible to
-// rounding only.
+// Pooled execution: plan lists are target-major and every chunk owns
+// whole targets, so each accumulator has one writer and takes plain
+// stores in plan order. Born workspaces and E_pol energies are therefore
+// bit-identical to serial ones at any worker count, in either engine.
 #pragma once
 
 #include <cstdint>
@@ -123,20 +123,8 @@ double epol_far_bins(const ChargeBins& bins, std::uint32_t u_node,
                      std::uint32_t v_node, double d2, bool approx_math,
                      bool use_simd);
 
-// Scalar blocks: one plan item each. The dual-tree walkers (born.cpp,
-// epol.cpp) evaluate their pairs through these same functions.
-
-/// Exact r^6 block of one (T_A leaf, T_Q leaf) pair: accumulates every
-/// q-point of `q_leaf` against every atom of `a_leaf` into ws.atom_s.
-void born_exact_leaf_pair(const BornInputs& in, std::uint32_t a_leaf,
-                          std::uint32_t q_leaf, BornWorkspace& ws,
-                          bool atomic);
-
-/// Far-field r^6 monopole deposit of T_Q node `q_node` (a leaf in plans,
-/// any node in the dual-tree walk) into the accumulator of T_A node
-/// `a_node` (ws.node_s[a_node]).
-void born_far_deposit(const BornInputs& in, std::uint32_t a_node,
-                      std::uint32_t q_node, BornWorkspace& ws, bool atomic);
+// Scalar E_pol blocks: one plan item each. The dual-tree E_pol walker
+// (epol.cpp) evaluates its pairs through these same functions.
 
 /// Exact STILL-kernel block of leaf V against leaf U (all ordered pairs,
 /// including the u == v self terms when the two leaves coincide).
@@ -153,8 +141,9 @@ double epol_far_block(const ChargeBins& bins, std::uint32_t u_node,
                       std::uint32_t v_node, double d2, bool approx_math);
 
 /// Born executor: evaluates plan.born_near / plan.born_far into `ws`
-/// (sized by in.atoms) with the given kernel. Serial runs are
-/// deterministic; pooled runs deposit atomically.
+/// (sized by in.atoms) with the given kernel. Each chunk owns whole
+/// targets, so the workspace is bit-identical at any worker count for a
+/// given SimdMode.
 void execute_born_plan(const BornInputs& in, const InteractionPlan& plan,
                        BornKernel kernel, BornWorkspace& ws,
                        parallel::WorkStealingPool* pool = nullptr,

@@ -250,55 +250,6 @@ double born_row_avx2(const double* qx, const double* qy, const double* qz,
   return hsum(acc);
 }
 
-std::uint32_t born_far_run_avx2(const std::uint32_t* pairs,
-                                std::uint32_t n, const double* acx,
-                                const double* acy, const double* acz,
-                                double qcx, double qcy, double qcz,
-                                double qwx, double qwy, double qwz,
-                                double* node_s, bool atomic) {
-  // Every float op below is an explicit mul/add/div intrinsic in the
-  // same association order as far_deposit's scalar expression -- no
-  // FMA, so each lane's deposit is bit-identical to the scalar engine's
-  // and only the (per-target) deposit *order* matters. Targets within
-  // a run are unique (the traversal visits each atom node once per
-  // q-leaf), so the in-order lane scatter cannot alias.
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d qx = _mm256_set1_pd(qcx);
-  const __m256d qy = _mm256_set1_pd(qcy);
-  const __m256d qz = _mm256_set1_pd(qcz);
-  const __m256d wx = _mm256_set1_pd(qwx);
-  const __m256d wy = _mm256_set1_pd(qwy);
-  const __m256d wz = _mm256_set1_pd(qwz);
-  alignas(32) double terms[4];
-  const std::uint32_t quads = n & ~3u;
-  for (std::uint32_t i = 0; i < quads; i += 4) {
-    const std::uint32_t t0 = pairs[2 * i + 0];
-    const std::uint32_t t1 = pairs[2 * i + 2];
-    const std::uint32_t t2 = pairs[2 * i + 4];
-    const std::uint32_t t3 = pairs[2 * i + 6];
-    const __m256d dx = _mm256_sub_pd(
-        qx, _mm256_setr_pd(acx[t0], acx[t1], acx[t2], acx[t3]));
-    const __m256d dy = _mm256_sub_pd(
-        qy, _mm256_setr_pd(acy[t0], acy[t1], acy[t2], acy[t3]));
-    const __m256d dz = _mm256_sub_pd(
-        qz, _mm256_setr_pd(acz[t0], acz[t1], acz[t2], acz[t3]));
-    const __m256d d2 = _mm256_add_pd(
-        _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-        _mm256_mul_pd(dz, dz));
-    const __m256d dot = _mm256_add_pd(
-        _mm256_add_pd(_mm256_mul_pd(wx, dx), _mm256_mul_pd(wy, dy)),
-        _mm256_mul_pd(wz, dz));
-    const __m256d inv = _mm256_div_pd(
-        one, _mm256_mul_pd(_mm256_mul_pd(d2, d2), d2));
-    _mm256_store_pd(terms, _mm256_mul_pd(dot, inv));
-    kernel_add(node_s[t0], terms[0], atomic);
-    kernel_add(node_s[t1], terms[1], atomic);
-    kernel_add(node_s[t2], terms[2], atomic);
-    kernel_add(node_s[t3], terms[3], atomic);
-  }
-  return quads;
-}
-
 double epol_row_avx2(const double* ux, const double* uy, const double* uz,
                      const double* uq, const double* uborn,
                      std::uint32_t ub, std::uint32_t ue, double px,

@@ -44,6 +44,12 @@ enum class BornKernel {
   kSurfaceR4,
 };
 
+/// Traversal strategy for the octree solver.
+enum class Traversal {
+  kSingleTree,  // this paper's algorithm (Figures 2-4)
+  kDualTree,    // prior shared-memory algorithm [6], used by OCT_CILK
+};
+
 /// Result of a Born-radius computation.
 struct BornRadiiResult {
   std::vector<double> radii;  // per atom, Angstrom

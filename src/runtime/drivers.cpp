@@ -350,17 +350,26 @@ double approx_epol_dynamic(simmpi::Comm& comm, const octree::Octree& tree,
     chunk = n / (8 * static_cast<std::size_t>(P - 1)) + 1;
   }
 
+  // A request carries the partial sum of the requester's previous
+  // chunk (chunk index + 1; 0 on a worker's first request).
+  struct Request {
+    std::uint64_t done_chunk;
+    double partial;
+  };
   if (comm.rank() == 0) {
     // Chunk server: hand out [lo, hi) leaf ranges on request, then a
     // [0, 0) sentinel per worker. The master computes nothing -- the
     // classic master-worker tradeoff (one rank of compute buys
-    // automatic load balance across the rest).
+    // automatic load balance across the rest). It files each returned
+    // partial under its chunk index and sums them in chunk order, so
+    // the result does not depend on which worker computed what.
+    std::vector<double> partials((n + chunk - 1) / chunk, 0.0);
     std::size_t next = 0;
     int retired = 0;
     while (retired < P - 1) {
-      std::uint64_t req = 0;
-      const int src = comm.recv_any(
-          std::span<std::uint64_t>(&req, 1), kTagRequest);
+      Request req{};
+      const int src = comm.recv_any(std::span<Request>(&req, 1), kTagRequest);
+      if (req.done_chunk > 0) partials[req.done_chunk - 1] = req.partial;
       std::uint64_t range[2];
       if (next < n) {
         range[0] = next;
@@ -372,21 +381,24 @@ double approx_epol_dynamic(simmpi::Comm& comm, const octree::Octree& tree,
       }
       comm.send(std::span<const std::uint64_t>(range, 2), src, kTagChunk);
     }
-    return 0.0;
+    double sum = 0.0;
+    for (const double partial : partials) sum += partial;
+    return sum;
   }
 
-  // Worker: request-compute loop.
-  double sum = 0.0;
+  // Worker: request-compute loop; its own share reaches the sum through
+  // rank 0.
+  Request req{};
   for (;;) {
-    const std::uint64_t req = 1;
-    comm.send(std::span<const std::uint64_t>(&req, 1), 0, kTagRequest);
+    comm.send(std::span<const Request>(&req, 1), 0, kTagRequest);
     std::uint64_t range[2];
     comm.recv(std::span<std::uint64_t>(range, 2), 0, kTagChunk);
     if (range[0] == range[1]) break;
-    sum += gb::approx_epol(tree, mol, bins, born_radii, range[0], range[1],
-                           params, pool);
+    req.done_chunk = range[0] / chunk + 1;
+    req.partial = gb::approx_epol(tree, mol, bins, born_radii, range[0],
+                                  range[1], params, pool);
   }
-  return sum;
+  return 0.0;
 }
 
 namespace {

@@ -132,9 +132,11 @@ inline DriverResult run_oct_mpi_cilk(const molecule::Molecule& mol,
 
 /// E_pol kernel sum with master-worker dynamic chunking: rank 0 serves
 /// chunks of `chunk` leaves on request (and computes none itself);
-/// ranks 1..P-1 compute chunks until the server runs dry. Collective:
-/// every rank of `comm` must call it. Returns this rank's partial sum.
-/// chunk == 0 picks num_leaves / (8 * (P-1)) + 1.
+/// ranks 1..P-1 compute chunks until the server runs dry, returning
+/// each chunk's sum with their next request. Collective: every rank of
+/// `comm` must call it. Rank 0 returns the chunk-ordered sum of all
+/// chunks, the other ranks 0, so the result does not depend on request
+/// timing. chunk == 0 picks num_leaves / (8 * (P-1)) + 1.
 double approx_epol_dynamic(simmpi::Comm& comm, const octree::Octree& tree,
                            const molecule::Molecule& mol,
                            const gb::ChargeBins& bins,

@@ -207,13 +207,12 @@ void PolarizationService::process_batch(std::vector<Pending>&& batch) {
     }
   }
 
-  // Phase 1: distinct inputs. Throughput mode parallelizes across
-  // requests (each pipeline serial inside one task -> bit-reproducible
-  // per request); latency mode runs them in turn with the kernels
-  // forking on the pool.
-  auto run_one = [this](Item& item, parallel::WorkStealingPool* pool) {
+  // Phase 1: distinct inputs, in parallel across requests; each
+  // pipeline runs serially inside one task, so it is bit-reproducible
+  // per request.
+  auto run_one = [this](Item& item) {
     try {
-      item.resp = compute_one(item.pending.req, item.queue_wait, pool);
+      item.resp = compute_one(item.pending.req, item.queue_wait);
     } catch (...) {
       item.resp =
           make_terminal(item.pending.req, Status::kFailed, item.queue_wait);
@@ -221,25 +220,19 @@ void PolarizationService::process_batch(std::vector<Pending>&& batch) {
     item.done = true;
   };
   if (!leaders.empty()) {
-    if (config_.intra_request_parallelism) {
-      pool_.run([&] {
-        for (std::size_t i : leaders) run_one(items[i], &pool_);
-      });
-    } else {
-      pool_.run([&] {
-        parallel::parallel_for(pool_, 0, leaders.size(), 1,
-                               [&](std::size_t lo, std::size_t hi) {
-                                 for (std::size_t k = lo; k < hi; ++k) {
-                                   run_one(items[leaders[k]], nullptr);
-                                 }
-                               });
-      });
-    }
+    pool_.run([&] {
+      parallel::parallel_for(pool_, 0, leaders.size(), 1,
+                             [&](std::size_t lo, std::size_t hi) {
+                               for (std::size_t k = lo; k < hi; ++k) {
+                                 run_one(items[leaders[k]]);
+                               }
+                             });
+    });
   }
 
   // Phase 2: coalesced repeats replay the entries phase 1 just
   // inserted -- an exact cache hit, radii included.
-  for (std::size_t i : followers) run_one(items[i], nullptr);
+  for (std::size_t i : followers) run_one(items[i]);
 
   // Deadline audit at settle time: a computed response that lands past
   // its deadline is a miss-but-completed, not a shed -- the work was
@@ -395,8 +388,7 @@ analysis::Report PolarizationService::validate_invariants() const {
 }
 
 Response PolarizationService::compute_one(const Request& req,
-                                          double queue_wait,
-                                          parallel::WorkStealingPool* pool) {
+                                          double queue_wait) {
   OCTGB_TRACE_SCOPE("serve/request");
   Response resp;
   resp.id = req.id;
@@ -449,8 +441,8 @@ Response PolarizationService::compute_one(const Request& req,
     entry->trees = base->trees;
     const octree::RefitResult rr =
         config_.rekey_refit
-            ? entry->trees.atoms.refit_rekey(req.mol.positions(), pool)
-            : entry->trees.atoms.refit(req.mol.positions(), pool);
+            ? entry->trees.atoms.refit_rekey(req.mol.positions())
+            : entry->trees.atoms.refit(req.mol.positions());
     refit_rebuilt = rr.rebuilt;
     if (refit_rebuilt) {
       cache_.note_refit_fallback();
@@ -470,9 +462,9 @@ Response PolarizationService::compute_one(const Request& req,
     OCTGB_COUNTER_ADD("serve.cold_builds", 1);
     resp.path = Path::kColdBuild;
     entry->surf = std::make_shared<const surface::QuadratureSurface>(
-        surface::build_surface(req.mol, params.surface, pool));
-    entry->trees = gb::build_born_octrees(req.mol, *entry->surf,
-                                          params.octree, pool);
+        surface::build_surface(req.mol, params.surface));
+    entry->trees =
+        gb::build_born_octrees(req.mol, *entry->surf, params.octree);
     resp.t_build = stage.seconds();
   }
 
@@ -491,16 +483,15 @@ Response PolarizationService::compute_one(const Request& req,
   } else {
     OCTGB_TRACE_SCOPE("serve/plan_build");
     entry->plan = std::make_shared<const gb::InteractionPlan>(
-        gb::build_interaction_plan(entry->trees, params.approx, pool));
+        gb::build_interaction_plan(entry->trees, params.approx));
   }
   {
     OCTGB_TRACE_SCOPE("serve/kernels");
     born = gb::born_radii_batched(entry->trees, req.mol, *entry->surf,
-                                  *entry->plan, params.approx, params.kernel,
-                                  pool);
+                                  *entry->plan, params.approx,
+                                  params.kernel);
     epol = gb::epol_batched(entry->trees.atoms, req.mol, born.radii,
-                            *entry->plan, params.approx, params.physics,
-                            pool);
+                            *entry->plan, params.approx, params.physics);
   }
   resp.t_kernel = stage.seconds();
 

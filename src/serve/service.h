@@ -14,15 +14,9 @@
 //     refit path, and cold-builds the rest;
 //  4. records per-stage times into ServiceStats.
 //
-// Parallelism is across requests by default: each request's pipeline
-// runs serially inside one pool task, so a request's energy is
-// bit-identical to a serial gb::compute_gb_energy call no matter how
-// it was batched. Set ServiceConfig::intra_request_parallelism for
-// latency-critical single-stream workloads with large molecules; the
-// Born phase then deposits with atomic adds, so its radii (and the
-// energy computed from them) are reproducible to rounding only. The
-// E_pol phase is bit-identical at any worker count (see
-// src/gb/kernels_batch.h).
+// Parallelism is across requests: each request's pipeline runs
+// serially inside one pool task, so a request's energy is bit-identical
+// to a serial gb::compute_gb_energy call no matter how it was batched.
 //
 // This is the seam later scaling work plugs into: sharding replicates
 // the service per NUMA domain behind a hash router, async backends
@@ -88,10 +82,6 @@ struct ServiceConfig {
   /// within the approximation class up to refit_max_rms and keeps plan
   /// reuse on every small-drift request.
   bool rekey_refit = false;
-  /// Run each request's own kernels on the pool (latency mode) instead
-  /// of parallelizing across requests (throughput mode, the default --
-  /// and the mode whose energies are bit-reproducible).
-  bool intra_request_parallelism = false;
   /// Result sink: invoked once per settled request with the final
   /// Response, right after the request's future is fulfilled. Lets an
   /// open-loop load driver record per-request outcomes without ever
@@ -235,9 +225,8 @@ class PolarizationService {
   void dispatch_loop() OCTGB_EXCLUDES(mu_);
   void process_batch(std::vector<Pending>&& batch) OCTGB_EXCLUDES(mu_);
   /// Runs one request end to end (cache lookup, refit or cold build,
-  /// kernels). `pool` is non-null only in intra-request mode.
-  Response compute_one(const Request& req, double queue_wait,
-                       parallel::WorkStealingPool* pool);
+  /// kernels), serially on the calling thread.
+  Response compute_one(const Request& req, double queue_wait);
   Response make_terminal(const Request& req, Status status,
                          double queue_wait) const;
 

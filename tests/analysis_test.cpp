@@ -6,6 +6,7 @@
 // the Born far criterion promises.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -173,6 +174,55 @@ TEST(ValidatePlanTest, CatchesBrokenChunkTable) {
   ASSERT_GE(f.plan.born_near_chunks.size(), 1u);
   f.plan.born_near_chunks.back() += 3;
   EXPECT_FALSE(validate_plan(f.trees, f.plan, f.params).ok());
+}
+
+// The first index i > 0 whose item continues the target run of item
+// i - 1 (items.size() when every run is one item long).
+std::size_t mid_run_index(const std::vector<gb::NodePair>& items) {
+  std::size_t i = 1;
+  while (i < items.size() && items[i].target != items[i - 1].target) ++i;
+  return i;
+}
+
+TEST(ValidatePlanTest, CatchesChunkSplittingATarget) {
+  // A chunk boundary inside one target's run gives that accumulator two
+  // writers -- a data race under the executors' plain stores.
+  Fixture f(800);
+  const std::size_t split = mid_run_index(f.plan.born_far);
+  ASSERT_LT(split, f.plan.born_far.size());
+  f.plan.born_far_chunks = {
+      0, static_cast<std::uint32_t>(split),
+      static_cast<std::uint32_t>(f.plan.born_far.size())};
+  const Report r = validate_plan(f.trees, f.plan, f.params);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.str().find("splits target"), std::string::npos) << r.str();
+}
+
+TEST(ValidatePlanTest, CatchesTargetItemsNotContiguous) {
+  // Same items, same coverage, but one target's run is broken in two:
+  // two chunks could own the same accumulator.
+  Fixture f(800);
+  auto& far = f.plan.born_far;
+  const std::size_t i = mid_run_index(far);
+  ASSERT_LT(i, far.size());
+  const gb::NodePair moved = far[i];
+  far.erase(far.begin() + static_cast<std::ptrdiff_t>(i));
+  far.push_back(moved);
+  const Report r = validate_plan(f.trees, f.plan, f.params);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.str().find("not contiguous"), std::string::npos) << r.str();
+}
+
+TEST(ValidatePlanTest, DualTreePlanWithInternalSourcesPasses) {
+  const Fixture f(800);
+  const gb::InteractionPlan dual = gb::build_interaction_plan(
+      f.trees.atoms, f.trees.qpoints, f.params, gb::PlanScope::born_only(),
+      nullptr, gb::Traversal::kDualTree);
+  ASSERT_TRUE(std::any_of(dual.born_far.begin(), dual.born_far.end(),
+                          [&](const gb::NodePair& p) {
+                            return !f.trees.qpoints.node(p.source).leaf;
+                          }));
+  EXPECT_TRUE(validate_plan(f.trees, dual, f.params).ok());
 }
 
 // ------------------------------------------------------------ born radii

@@ -18,13 +18,16 @@
 
 #include <bit>
 #include <cstdlib>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "src/analysis/digest.h"
 #include "src/analysis/sched/sched.h"
 #include "src/cluster/codec.h"
+#include "src/docking/pose_scorer.h"
 #include "src/gb/born.h"
+#include "src/gb/calculator.h"
 #include "src/gb/epol.h"
 #include "src/gb/interaction_lists.h"
 #include "src/gb/kernels_batch.h"
@@ -35,6 +38,7 @@
 #include "src/molecule/generators.h"
 #include "src/octree/octree.h"
 #include "src/parallel/pool.h"
+#include "src/runtime/drivers.h"
 #include "src/serve/content_hash.h"
 #include "src/serve/service.h"
 #include "src/surface/marching.h"
@@ -263,9 +267,9 @@ TEST(DeterminismOracleTest, PlanConstructionBitIdenticalAcrossWorkerCounts) {
 // so E_pol differed by ulps run-to-run and across worker counts. The
 // plan executor's chunks own whole v-leaves and its per-leaf
 // accumulators are reduced in leaf order; this test pins that down for
-// epol_octree and for epol_batched in both engines. Born radii are fed
-// in fixed (computed once, serially) to isolate the E_pol phase from
-// the Born phase's sanctioned atomic deposits.
+// epol_octree and for epol_batched in both engines, on fixed naive
+// Born radii. PlanPipelineBitIdenticalAcrossWorkerCounts below covers
+// the Born phase feeding it.
 TEST(DeterminismOracleTest, EpolBitIdenticalAcrossWorkerCounts) {
   const auto mol = molecule::generate_protein(600, 53);
   const auto surf = surface::build_surface(mol);
@@ -305,6 +309,119 @@ TEST(DeterminismOracleTest, EpolBitIdenticalAcrossWorkerCounts) {
                                     pool, mode)
                 .energy;
           });
+  }
+}
+
+// ------------------------------------- Born phase and whole pipelines
+
+std::uint64_t digest_energy(std::span<const double> radii, double energy) {
+  Digest d;
+  d.span_f64(radii).f64(energy);
+  return d.value();
+}
+
+// `run(pool)` must reproduce `run(nullptr)`'s digest at every worker
+// count, twice each.
+template <typename Run>
+void expect_pool_independent(const char* what, Run&& run) {
+  const std::uint64_t want = run(nullptr);
+  for (const int workers : kWorkerCounts) {
+    parallel::WorkStealingPool pool(workers);
+    for (int rep = 0; rep < 2; ++rep) {
+      EXPECT_EQ(run(&pool), want)
+          << what << " workers=" << workers << " rep=" << rep;
+    }
+  }
+}
+
+// Born plans are target-major and every chunk owns whole targets, so the
+// pooled Born deposits take plain stores in plan order: the plan's own
+// radii, and the energy from them, are pool-independent in both engines.
+TEST(DeterminismOracleTest, PlanPipelineBitIdenticalAcrossWorkerCounts) {
+  const auto mol = molecule::generate_protein(800, 59);
+  const auto surf = surface::build_surface(mol);
+  const auto trees = gb::build_born_octrees(mol, surf);
+  const gb::ApproxParams approx;
+  const gb::InteractionPlan plan = gb::build_interaction_plan(trees, approx);
+  for (const auto mode : {gb::SimdMode::kForceScalar, gb::SimdMode::kAuto}) {
+    expect_pool_independent(
+        mode == gb::SimdMode::kAuto ? "plan pipeline/auto"
+                                    : "plan pipeline/scalar",
+        [&](parallel::WorkStealingPool* pool) {
+          const auto born = gb::born_radii_batched(trees, mol, surf, plan,
+                                                   approx, pool, mode);
+          const auto epol = gb::epol_batched(trees.atoms, mol, born.radii,
+                                             plan, approx, {}, pool, mode);
+          return digest_energy(born.radii, epol.energy);
+        });
+  }
+}
+
+TEST(DeterminismOracleTest, GbEnergyBitIdenticalAcrossWorkerCounts) {
+  const auto mol = molecule::generate_protein(700, 67);
+  const gb::CalculatorParams params;
+  for (const auto traversal :
+       {gb::Traversal::kSingleTree, gb::Traversal::kDualTree}) {
+    expect_pool_independent(
+        traversal == gb::Traversal::kDualTree ? "compute_gb_energy/dual"
+                                              : "compute_gb_energy/single",
+        [&](parallel::WorkStealingPool* pool) {
+          const gb::GBResult r =
+              gb::compute_gb_energy(mol, params, pool, traversal);
+          return digest_energy(r.born_radii, r.energy);
+        });
+  }
+}
+
+TEST(DeterminismOracleTest, OctCilkBitIdenticalAcrossThreadCounts) {
+  // OCT_CILK always runs on its own pool; every thread count must give
+  // the serial dual-tree pipeline's bits.
+  const auto mol = molecule::generate_protein(700, 71);
+  const gb::CalculatorParams params;
+  const gb::GBResult serial =
+      gb::compute_gb_energy(mol, params, nullptr, gb::Traversal::kDualTree);
+  const std::uint64_t want = digest_energy(serial.born_radii, serial.energy);
+  for (const int threads : kWorkerCounts) {
+    const runtime::DriverResult r = runtime::run_oct_cilk(mol, threads, params);
+    EXPECT_EQ(digest_energy(r.born_radii, r.energy), want)
+        << "threads=" << threads;
+  }
+}
+
+TEST(DeterminismOracleTest, PoseScoreBitIdenticalAcrossWorkerCounts) {
+  const auto receptor = molecule::generate_protein(600, 73);
+  const auto ligand = molecule::generate_ligand(30, 79);
+  const gb::CalculatorParams params;
+  const geom::Rigid pose =
+      geom::Rigid::translate(
+          {0.5 * receptor.center_bounds().max_extent() + 5.0, 1.0, -2.0}) *
+      geom::Rigid{geom::Mat3::axis_angle({0, 1, 1}, 0.6), {}};
+  expect_pool_independent("PoseScorer", [&](parallel::WorkStealingPool* pool) {
+    const docking::PoseScorer scorer(receptor, ligand, params, pool);
+    const docking::PoseScore score = scorer.score(pose);
+    Digest d;
+    d.f64(scorer.receptor_energy()).f64(scorer.ligand_energy());
+    d.f64(score.complex_energy).f64(score.delta_energy);
+    return d.value();
+  });
+}
+
+TEST(DeterminismOracleTest, DistributedStaticDivisionsIgnoreThreadsPerRank) {
+  const auto mol = molecule::generate_protein(700, 83);
+  for (const auto division :
+       {runtime::WorkDivision::kNodeNode,
+        runtime::WorkDivision::kNodeNodeWeighted,
+        runtime::WorkDivision::kAtomAtom}) {
+    runtime::DriverConfig config;
+    config.num_ranks = 2;
+    config.division = division;
+    config.threads_per_rank = 1;
+    const runtime::DriverResult one = runtime::run_distributed(mol, config);
+    config.threads_per_rank = 2;
+    const runtime::DriverResult two = runtime::run_distributed(mol, config);
+    EXPECT_EQ(digest_energy(two.born_radii, two.energy),
+              digest_energy(one.born_radii, one.energy))
+        << "division=" << static_cast<int>(division);
   }
 }
 
@@ -384,7 +501,7 @@ TEST(DeterminismOracleTest, ShardSimDigestStableWithMigrationFiring) {
 TEST(DeterminismOracleTest, CodecEntryRoundTripDigestStable) {
   const auto build_frame = [](std::uint64_t seed) {
     serve::ServiceConfig config;
-    config.num_threads = 1;  // keep the GB deposit order serial
+    config.num_threads = 1;
     serve::PolarizationService service(config);
     serve::Request req;
     req.id = 9;

@@ -5,13 +5,16 @@
 // matches a from-scratch computation on the identical union surface.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "src/docking/pose_scorer.h"
 #include "src/gb/epol.h"
 #include "src/gb/naive.h"
 #include "src/molecule/generators.h"
+#include "src/parallel/pool.h"
 
 namespace octgb::docking {
 namespace {
@@ -220,6 +223,24 @@ TEST(PoseScorerTest, ScoreIsDeterministic) {
   const PoseScore a = scorer.score(pose);
   const PoseScore b = scorer.score(pose);
   EXPECT_DOUBLE_EQ(a.complex_energy, b.complex_energy);
+}
+
+TEST(PoseScorerTest, PooledScoreMatchesSerialBitForBit) {
+  // The cross-tree Born plans are target-major and every pooled chunk
+  // owns whole targets, so a pooled scorer reproduces the serial bits
+  // (and TSan sees any chunk that shares an accumulator).
+  const auto receptor = molecule::generate_protein(400, 47);
+  const auto ligand = molecule::generate_ligand(30, 49);
+  const geom::Rigid pose =
+      test_pose(0.5 * receptor.center_bounds().max_extent() + 4.0);
+  const PoseScore serial = PoseScorer(receptor, ligand).score(pose);
+  parallel::WorkStealingPool pool(2);
+  const PoseScore pooled =
+      PoseScorer(receptor, ligand, {}, &pool).score(pose);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled.complex_energy),
+            std::bit_cast<std::uint64_t>(serial.complex_energy));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled.delta_energy),
+            std::bit_cast<std::uint64_t>(serial.delta_energy));
 }
 
 }  // namespace

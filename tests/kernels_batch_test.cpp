@@ -5,8 +5,8 @@
 // engine, and a serial scalar plan evaluation must reproduce them bit for
 // bit in every build (default, OCTGB_SIMD=OFF, OCTGB_VALIDATE). The SIMD
 // engine stays within 1e-10 relative of the scalar one (only the 4-wide
-// reduction order differs), and pooled runs match serial ones: Born to
-// rounding (atomic deposits), E_pol bit for bit.
+// reduction order differs), and pooled runs match serial ones bit for
+// bit: every chunk owns whole targets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "src/gb/born.h"
 #include "src/gb/epol.h"
@@ -141,61 +142,144 @@ TEST(InteractionPlanTest, ThrowsOnNonPositiveEps) {
                std::invalid_argument);
 }
 
+bool same_pairs(const std::vector<NodePair>& a,
+                const std::vector<NodePair>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](const NodePair& x, const NodePair& y) {
+                      return x.target == y.target && x.source == y.source;
+                    });
+}
+
 TEST(InteractionPlanTest, ScopedPlansPartitionTheFullPlan) {
-  // Figure 4's division: per-rank plans over q-leaf and v-leaf ranges
-  // concatenate to the full plan, item for item.
+  // Figure 4's division: per-rank plans over q-leaf and v-leaf ranges.
+  // E_pol targets are the rank's own v-leaves, so the ranks' lists
+  // concatenate to the full plan item for item. Born targets are T_A
+  // nodes every rank shares; per target, the ranks' items concatenate
+  // to the full plan's (a rank's q-leaves precede the next rank's).
   const Fixture f(900);
   const std::size_t nq = f.trees.qpoints.num_leaves();
   const std::size_t nv = f.trees.atoms.num_leaves();
+  std::vector<InteractionPlan> parts;
   InteractionPlan joined;
   for (int r = 0; r < 3; ++r) {
     const PlanScope scope{nq * r / 3, nq * (r + 1) / 3, nv * r / 3,
                           nv * (r + 1) / 3};
-    const InteractionPlan part =
-        build_interaction_plan(f.trees.atoms, f.trees.qpoints, f.params,
-                               scope);
+    parts.push_back(build_interaction_plan(f.trees.atoms, f.trees.qpoints,
+                                           f.params, scope));
+    const InteractionPlan& part = parts.back();
     EXPECT_EQ(part.scope.born_begin, scope.born_begin);
     EXPECT_EQ(part.scope.epol_end, scope.epol_end);
-    for (const auto list : {&InteractionPlan::born_near,
-                             &InteractionPlan::born_far,
-                             &InteractionPlan::epol_near,
-                             &InteractionPlan::epol_far}) {
+    for (const auto list :
+         {&InteractionPlan::epol_near, &InteractionPlan::epol_far}) {
       (joined.*list).insert((joined.*list).end(), (part.*list).begin(),
                             (part.*list).end());
     }
   }
-  const auto same = [](const std::vector<NodePair>& a,
-                       const std::vector<NodePair>& b) {
-    return a.size() == b.size() &&
-           std::equal(a.begin(), a.end(), b.begin(),
-                      [](const NodePair& x, const NodePair& y) {
-                        return x.target == y.target && x.source == y.source;
-                      });
-  };
-  EXPECT_TRUE(same(joined.born_near, f.plan.born_near));
-  EXPECT_TRUE(same(joined.born_far, f.plan.born_far));
-  EXPECT_TRUE(same(joined.epol_near, f.plan.epol_near));
-  EXPECT_TRUE(same(joined.epol_far, f.plan.epol_far));
+  EXPECT_TRUE(same_pairs(joined.epol_near, f.plan.epol_near));
+  EXPECT_TRUE(same_pairs(joined.epol_far, f.plan.epol_far));
+
+  for (const auto list :
+       {&InteractionPlan::born_near, &InteractionPlan::born_far}) {
+    std::vector<NodePair> born;
+    for (const InteractionPlan& part : parts) {
+      born.insert(born.end(), (part.*list).begin(), (part.*list).end());
+    }
+    std::stable_sort(born.begin(), born.end(),
+                     [](const NodePair& x, const NodePair& y) {
+                       return x.target < y.target;
+                     });
+    EXPECT_TRUE(same_pairs(born, f.plan.*list));
+  }
 
   const InteractionPlan born_only = build_interaction_plan(
       f.trees.atoms, f.trees.qpoints, f.params, PlanScope::born_only());
-  EXPECT_TRUE(same(born_only.born_near, f.plan.born_near));
+  EXPECT_TRUE(same_pairs(born_only.born_near, f.plan.born_near));
+  EXPECT_TRUE(same_pairs(born_only.born_far, f.plan.born_far));
   EXPECT_TRUE(born_only.epol_near.empty());
   EXPECT_TRUE(born_only.epol_far.empty());
 }
 
+// Every chunk boundary falls between two targets, with at least two
+// chunks so the pool has work to share.
+void expect_chunks_own_targets(const std::vector<NodePair>& list,
+                               const std::vector<std::uint32_t>& chunks) {
+  ASSERT_GT(chunks.size(), 2u) << "one chunk would serialize the pool";
+  for (std::size_t c = 1; c + 1 < chunks.size(); ++c) {
+    EXPECT_NE(list[chunks[c] - 1].target, list[chunks[c]].target)
+        << "chunk " << c << " splits a target";
+  }
+}
+
+// Each target's items are one contiguous run.
+void expect_grouped_by_target(const std::vector<NodePair>& list) {
+  std::vector<std::uint32_t> run_targets;
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    if (i == 0 || list[i].target != list[i - 1].target) {
+      run_targets.push_back(list[i].target);
+    }
+  }
+  std::sort(run_targets.begin(), run_targets.end());
+  EXPECT_EQ(std::adjacent_find(run_targets.begin(), run_targets.end()),
+            run_targets.end());
+}
+
 TEST(InteractionPlanTest, EpolChunksOwnWholeLeaves) {
   const Fixture f(1200);
-  const auto check = [](const std::vector<NodePair>& list,
-                        const std::vector<std::uint32_t>& chunks) {
-    ASSERT_GT(chunks.size(), 2u) << "one chunk would serialize the pool";
-    for (std::size_t c = 1; c + 1 < chunks.size(); ++c) {
-      EXPECT_NE(list[chunks[c] - 1].target, list[chunks[c]].target)
-          << "chunk " << c << " splits a v-leaf";
+  expect_chunks_own_targets(f.plan.epol_near, f.plan.epol_near_chunks);
+  expect_chunks_own_targets(f.plan.epol_far, f.plan.epol_far_chunks);
+}
+
+TEST(InteractionPlanTest, BornChunksOwnWholeTargets) {
+  const Fixture f(1200);
+  expect_grouped_by_target(f.plan.born_near);
+  expect_grouped_by_target(f.plan.born_far);
+  expect_chunks_own_targets(f.plan.born_near, f.plan.born_near_chunks);
+  expect_chunks_own_targets(f.plan.born_far, f.plan.born_far_chunks);
+  // Within a target, items keep the q-leaf visit order.
+  const auto q_leaves = f.trees.qpoints.leaves();
+  std::vector<std::size_t> ordinal(f.trees.qpoints.num_nodes());
+  for (std::size_t i = 0; i < q_leaves.size(); ++i) {
+    ordinal[q_leaves[i]] = i;
+  }
+  for (const auto* list : {&f.plan.born_near, &f.plan.born_far}) {
+    for (std::size_t i = 1; i < list->size(); ++i) {
+      if ((*list)[i].target != (*list)[i - 1].target) continue;
+      EXPECT_LT(ordinal[(*list)[i - 1].source], ordinal[(*list)[i].source]);
     }
-  };
-  check(f.plan.epol_near, f.plan.epol_near_chunks);
-  check(f.plan.epol_far, f.plan.epol_far_chunks);
+  }
+}
+
+TEST(InteractionPlanTest, DualTreePlanIsPoolIndependentAndOwned) {
+  // OCT_CILK's dual visit: internal T_Q sources appear in born_far, the
+  // lists are target-major like the single-tree ones, and the plan does
+  // not depend on the worker count.
+  const Fixture f(1200);
+  const InteractionPlan serial = build_interaction_plan(
+      f.trees.atoms, f.trees.qpoints, f.params, PlanScope::born_only(),
+      nullptr, Traversal::kDualTree);
+  EXPECT_GT(serial.born_near.size(), 0u);
+  EXPECT_TRUE(std::any_of(serial.born_far.begin(), serial.born_far.end(),
+                          [&](const NodePair& p) {
+                            return !f.trees.qpoints.node(p.source).leaf;
+                          }));
+  expect_grouped_by_target(serial.born_near);
+  expect_grouped_by_target(serial.born_far);
+  expect_chunks_own_targets(serial.born_near, serial.born_near_chunks);
+  for (const int workers : {2, 8}) {
+    parallel::WorkStealingPool pool(workers);
+    const InteractionPlan pooled = build_interaction_plan(
+        f.trees.atoms, f.trees.qpoints, f.params, PlanScope::born_only(),
+        &pool, Traversal::kDualTree);
+    EXPECT_TRUE(same_pairs(pooled.born_near, serial.born_near));
+    EXPECT_TRUE(same_pairs(pooled.born_far, serial.born_far));
+    EXPECT_EQ(pooled.born_far_chunks, serial.born_far_chunks);
+  }
+  // The dual visit starts at (root, root): a q-leaf range is an error.
+  EXPECT_THROW(build_interaction_plan(
+                   f.trees.atoms, f.trees.qpoints, f.params,
+                   PlanScope::born_only(0, 1), nullptr, Traversal::kDualTree),
+               std::invalid_argument);
 }
 
 class BatchedVsFused : public ::testing::TestWithParam<bool> {
@@ -304,10 +388,8 @@ TEST_P(BatchedVsFused, PooledExecutionMatchesSerial) {
                                            f.params, nullptr, mode);
     const auto pooled = born_radii_batched(f.trees, f.mol, f.surf, f.plan,
                                            f.params, &pool, mode);
-    for (std::size_t a = 0; a < serial.radii.size(); ++a) {
-      EXPECT_LT(rel_diff(pooled.radii[a], serial.radii[a]), 1e-12);
-    }
-    // E_pol chunks own whole v-leaves: pooled is bit-identical.
+    // Every chunk owns whole targets: pooled is bit-identical.
+    EXPECT_EQ(digest(pooled.radii), digest(serial.radii));
     const auto e_serial =
         epol_batched(f.trees.atoms, f.mol, serial.radii, f.plan, f.params,
                      {}, nullptr, mode);
@@ -316,6 +398,20 @@ TEST_P(BatchedVsFused, PooledExecutionMatchesSerial) {
                      {}, &pool, mode);
     EXPECT_EQ(bits(e_pooled.energy), bits(e_serial.energy));
   }
+}
+
+TEST_P(BatchedVsFused, SimdBornWorkspaceFarSumsMatchScalar) {
+  // Both engines deposit the far field through the same scalar loop, so
+  // the node accumulators agree bit for bit; only the near rows differ.
+  const Fixture f(1000, GetParam());
+  const BornInputs in = born_inputs(f.trees, f.mol, f.surf);
+  BornWorkspace scalar(f.trees);
+  execute_born_plan(in, f.plan, BornKernel::kSurfaceR6, scalar, nullptr,
+                    SimdMode::kForceScalar);
+  BornWorkspace simd(f.trees);
+  execute_born_plan(in, f.plan, BornKernel::kSurfaceR6, simd, nullptr,
+                    SimdMode::kAuto);
+  EXPECT_EQ(digest(simd.node_s), digest(scalar.node_s));
 }
 
 INSTANTIATE_TEST_SUITE_P(MathPolicies, BatchedVsFused,

@@ -201,12 +201,13 @@ TEST(WorkDivisionTest, AtomDivisionHonoursApproxMath) {
 
 TEST(DriverTest, RepeatedSingleThreadRunsAreBitIdentical) {
   // One worker per rank: the rank-local plans are evaluated serially,
-  // so repeated runs of a static division reproduce the energy and
-  // radii bit for bit. (kDynamicChunks is left out: which rank sums
-  // which chunk depends on request timing.)
+  // so repeated runs reproduce the energy and radii bit for bit. The
+  // dynamic chunk server sums the chunks' partials in chunk order, so
+  // request timing does not reach the result either.
   const auto mol = molecule::generate_protein(700, 143);
   for (const WorkDivision division :
-       {WorkDivision::kNodeNode, WorkDivision::kNodeNodeWeighted}) {
+       {WorkDivision::kNodeNode, WorkDivision::kNodeNodeWeighted,
+        WorkDivision::kDynamicChunks}) {
     DriverConfig config;
     config.num_ranks = 3;
     config.division = division;
