@@ -58,8 +58,8 @@ int main() {
     // The re-key policy on the same stream: with *every* atom moving,
     // some key escapes its octant almost every step, so this column is
     // the price of the never-stale-topology contract (refit cost
-    // degrades to a rebuild; the clustered-drift case where re-key
-    // wins by an order of magnitude is bench/tree_build).
+    // degrades to a rebuild; the clustered in-cell drift case that
+    // takes the resort-free path is pinned by tests/octree_test).
     util::WallTimer t3;
     const auto rr = rekey_tree.refit_rekey(positions);
     const double rekey_s = t3.seconds();

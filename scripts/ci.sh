@@ -10,9 +10,10 @@
 #      and an OCTGB_SIMD=OFF build where the scalar fallback must pass
 #      the same bit-exactness/tolerance suite (kernels_batch_test) and
 #      the driver and docking suites (runtime_test, docking_test).
-#   4. lint: scripts/lint.sh -- detlint, the awk project rules,
-#      compile-commands TU coverage, and clang-tidy (when installed).
-#      See DESIGN.md "Static analysis & race detection".
+#   4. lint: scripts/lint.sh -- detlint (the one rule engine: every
+#      project rule plus the determinism contracts), compile-commands
+#      TU coverage, and clang-tidy (when installed). See DESIGN.md
+#      "Static analysis & race detection".
 #   5. detlint: the determinism gate. `python3 scripts/detlint
 #      --selftest` (every rule must fire on its seeded violation and
 #      honor its suppression), the full-tree contract scan (zero

@@ -3,16 +3,46 @@
 # Two tiers:
 #
 #  * GLOBAL hygiene rules run on every file regardless of contract
-#    level. Four of them are ports of the original awk/bash lint rules
-#    (scripts/lint_rules.awk kept a deprecation note); they honor the
-#    legacy `lint:allow(<rule>)` markers already in the tree as well as
-#    the new `detlint:allow(<rule>): <why>` form:
+#    level (some are scoped by path, as noted). They are the project's
+#    line rules; they honor the legacy `lint:allow(<rule>)` markers
+#    already in the tree as well as the new `detlint:allow(<rule>): <why>`
+#    form:
 #      naked-new        no new/delete expressions
 #      float-eq         no ==/!= against floating-point literals
 #      unseeded-rng     no rand()/random_device/mt19937: all randomness
 #                       is util::Xoshiro256 with an explicit seed
 #      mutex-unguarded  every non-static Mutex member needs an OCTGB_*
 #                       annotation partner in the same file
+#      fastmath         (src/gb/ only) no raw std::exp( or / std::sqrt(
+#                       in kernel code: per-pair math goes through the
+#                       util::ExactMath / util::ApproxMath policies so the
+#                       approx_math switch stays honest
+#      sqrt-domain      (src/gb/ only) std::pow( and a std::sqrt( whose
+#                       argument contains a subtraction need a
+#                       justification naming where the operand's domain
+#                       is established (a bad operand is a silent NaN)
+#      narrow-cast      (src/gb/ only) no narrowing integer cast applied
+#                       directly to floating-point math; round explicitly
+#                       (ceil/floor/round/lround/trunc) or justify it
+#      rawclock         no raw std::chrono::*_clock::now() outside
+#                       src/telemetry/, bench/ and the load harness's
+#                       clock shim src/load/clock.h (that one file, so the
+#                       rest of src/load stays clock-agnostic): timing
+#                       goes through util::WallTimer or the span recorder
+#      raw-mutex        no raw std:: locking primitives outside the
+#                       interposition layer src/util/thread_annotations.h
+#                       and the analysis runtimes src/analysis/{sched,
+#                       lockgraph}/ (which must not instrument
+#                       themselves): everything else locks through
+#                       util::Mutex / util::CondVar so the lock-order
+#                       witness and the schedule explorer see it
+#      raw-serialize    (src/cluster/ and src/serve/ only, minus the codec
+#                       TU src/cluster/codec.cpp) no memcpy and no
+#                       reinterpret_cast: wire bytes go through the
+#                       versioned frame Writer/Reader
+#      cv-wait-pred     a bare cv.wait(lock) must sit in a predicate loop
+#                       (`while (` on the same or the previous line) or
+#                       use the predicate overload wait(lock, pred)
 #
 #  * STRICT rules run only in modules whose contract
 #    (scripts/detlint/contracts.txt) promises bit-determinism:
@@ -35,7 +65,7 @@
 #
 # Suppression: `detlint:allow(<rule>): <justification>` on the line or
 # the line directly above. The justification is REQUIRED -- a bare
-# allow marker is itself reported (rule `bare-allow`). Ported rules
+# allow marker is itself reported (rule `bare-allow`). The global rules
 # additionally honor the legacy `lint:allow(<rule>)` form so the
 # existing tree keeps linting clean.
 
@@ -48,8 +78,10 @@ import re
 from . import contracts as contracts_mod
 from . import lexer
 
-# Rules ported from the awk-era linter: legacy lint:allow() accepted.
-PORTED = ("naked-new", "float-eq", "unseeded-rng", "mutex-unguarded")
+# Global rules: legacy lint:allow() accepted.
+PORTED = ("naked-new", "float-eq", "unseeded-rng", "mutex-unguarded",
+          "fastmath", "sqrt-domain", "narrow-cast", "rawclock", "raw-mutex",
+          "raw-serialize", "cv-wait-pred")
 
 STRICT_RULES = ("unordered-iter", "ptr-key-order", "unstable-sort",
                 "wallclock", "thread-id", "env-read", "shared-float-accum",
@@ -133,7 +165,7 @@ class FileCtx:
 
 
 # ---------------------------------------------------------------------------
-# Global hygiene rules (awk ports).
+# Global hygiene rules.
 
 _NAKED_NEW = re.compile(
     r"(^|[^\w])(new\s+[\w(:]|new\s*\(|delete\s+[\w*(]|delete\s*\[\])")
@@ -147,28 +179,29 @@ _MUTEX_DECL = re.compile(
     r"^\s*(?:mutable\s+)?(?:(?:std|util)::)?[Mm]utex\s+([A-Za-z_]\w*)\s*;")
 
 
-def rule_naked_new(ctx: FileCtx) -> None:
+def _line_rule(ctx: FileCtx, pattern: re.Pattern, rule: str,
+               message: str) -> None:
     for i, line in enumerate(ctx.code, 1):
-        if _NAKED_NEW.search(line):
-            ctx.check(i, "naked-new",
-                      "new/delete expression; use make_unique/make_shared"
-                      " or a container")
+        if pattern.search(line):
+            ctx.check(i, rule, message)
+
+
+def rule_naked_new(ctx: FileCtx) -> None:
+    _line_rule(ctx, _NAKED_NEW, "naked-new",
+               "new/delete expression; use make_unique/make_shared"
+               " or a container")
 
 
 def rule_float_eq(ctx: FileCtx) -> None:
-    for i, line in enumerate(ctx.code, 1):
-        if _FLOAT_EQ.search(line):
-            ctx.check(i, "float-eq",
-                      "==/!= against a floating-point literal; compare with"
-                      " a tolerance or justify the exact comparison")
+    _line_rule(ctx, _FLOAT_EQ, "float-eq",
+               "==/!= against a floating-point literal; compare with"
+               " a tolerance or justify the exact comparison")
 
 
 def rule_unseeded_rng(ctx: FileCtx) -> None:
-    for i, line in enumerate(ctx.code, 1):
-        if _UNSEEDED_RNG.search(line):
-            ctx.check(i, "unseeded-rng",
-                      "unseeded/implementation-defined RNG; use"
-                      " util::Xoshiro256 with an explicit seed")
+    _line_rule(ctx, _UNSEEDED_RNG, "unseeded-rng",
+               "unseeded/implementation-defined RNG; use"
+               " util::Xoshiro256 with an explicit seed")
 
 
 def rule_mutex_unguarded(ctx: FileCtx) -> None:
@@ -187,6 +220,85 @@ def rule_mutex_unguarded(ctx: FileCtx) -> None:
                       "_EXCLUDES partner annotation in this file")
 
 
+_GB = re.compile(r"(^|/)src/gb/")
+_FASTMATH = re.compile(r"(^|[^\w])std::exp\s*\(|/\s*std::sqrt\s*\(")
+_SQRT_DOMAIN = re.compile(
+    r"(^|[^\w])std::pow\s*\(|(^|[^\w])std::sqrt\s*\([^)]*-")
+_NARROW_CAST = re.compile(
+    r"static_cast<\s*(std::)?u?int[0-9a-z_]*\s*>\s*\(\s*std::"
+    r"(log|log2|log10|log1p|exp|exp2|expm1|sqrt|cbrt|pow|fma|sin|cos|tan"
+    r"|atan|atan2|asin|acos|hypot)\s*\(")
+_RAWCLOCK = re.compile(
+    r"(steady_clock|system_clock|high_resolution_clock)\s*::\s*now\s*\(")
+_RAWCLOCK_EXEMPT = re.compile(
+    r"(^|/)src/telemetry/|(^|/)bench/|(^|/)src/load/clock\.h$")
+_RAW_MUTEX = re.compile(
+    r"std::(timed_mutex|recursive_mutex|shared_mutex|mutex"
+    r"|condition_variable_any|condition_variable|lock_guard|unique_lock"
+    r"|scoped_lock|shared_lock)([^\w]|$)")
+_RAW_MUTEX_EXEMPT = re.compile(
+    r"(^|/)src/util/thread_annotations\.h$|(^|/)src/analysis/(sched|lockgraph)/")
+_SERVING = re.compile(r"(^|/)src/(cluster|serve)/")
+_CODEC = re.compile(r"(^|/)src/cluster/codec\.cpp$")
+_RAW_SERIALIZE = re.compile(
+    r"(^|[^\w])((std::)?memcpy\s*\(|reinterpret_cast\s*<)")
+_BARE_WAIT = re.compile(r"\.wait\s*\(\s*[A-Za-z_]\w*\s*\)")
+_WHILE = re.compile(r"while\s*\(")
+
+
+def rule_fastmath(ctx: FileCtx) -> None:
+    if _GB.search(ctx.rel):
+        _line_rule(ctx, _FASTMATH, "fastmath",
+                   "raw std::exp( or / std::sqrt( in GB code; per-pair"
+                   " math goes through util::ExactMath / util::ApproxMath")
+
+
+def rule_sqrt_domain(ctx: FileCtx) -> None:
+    if _GB.search(ctx.rel):
+        _line_rule(ctx, _SQRT_DOMAIN, "sqrt-domain",
+                   "std::pow( or std::sqrt( over a subtraction; justify"
+                   " where the operand's domain is established")
+
+
+def rule_narrow_cast(ctx: FileCtx) -> None:
+    if _GB.search(ctx.rel):
+        _line_rule(ctx, _NARROW_CAST, "narrow-cast",
+                   "narrowing integer cast of floating-point math; round"
+                   " explicitly or justify the truncation")
+
+
+def rule_rawclock(ctx: FileCtx) -> None:
+    if not _RAWCLOCK_EXEMPT.search(ctx.rel):
+        _line_rule(ctx, _RAWCLOCK, "rawclock",
+                   "raw clock read; time through util::WallTimer or the"
+                   " telemetry span recorder")
+
+
+def rule_raw_mutex(ctx: FileCtx) -> None:
+    if not _RAW_MUTEX_EXEMPT.search(ctx.rel):
+        _line_rule(ctx, _RAW_MUTEX, "raw-mutex",
+                   "raw std:: locking primitive; lock through util::Mutex /"
+                   " util::CondVar so the lock-order witness sees it")
+
+
+def rule_raw_serialize(ctx: FileCtx) -> None:
+    if _SERVING.search(ctx.rel) and not _CODEC.search(ctx.rel):
+        _line_rule(ctx, _RAW_SERIALIZE, "raw-serialize",
+                   "memcpy/reinterpret_cast in a serving layer; wire bytes"
+                   " go through the codec's Writer/Reader")
+
+
+def rule_cv_wait_pred(ctx: FileCtx) -> None:
+    prev = ""
+    for i, line in enumerate(ctx.code, 1):
+        if (_BARE_WAIT.search(line) and not _WHILE.search(line)
+                and not _WHILE.search(prev)):
+            ctx.check(i, "cv-wait-pred",
+                      "bare wait(lock) outside a predicate loop; use"
+                      " wait(lock, pred) or a while loop")
+        prev = line
+
+
 # ---------------------------------------------------------------------------
 # Strict contract rules.
 
@@ -195,7 +307,7 @@ _ORDERED_PTR = re.compile(
     r"std::(?:map|set|multimap|multiset)\s*<\s*([^,>]*?\*[^,>]*?)\s*[,>]")
 _UNSTABLE_SORT = re.compile(r"(^|[^\w:])std::sort\s*\(")
 _WALLCLOCK = re.compile(
-    r"(steady_clock|system_clock|high_resolution_clock)\s*::\s*now\s*\("
+    _RAWCLOCK.pattern +
     r"|(^|[^\w])(clock_gettime|gettimeofday|timespec_get)\s*\(")
 _THREAD_ID = re.compile(r"std::this_thread\s*::\s*get_id\s*\(")
 _ENV_READ = re.compile(r"(^|[^\w])(?:std::)?getenv\s*\(")
@@ -268,45 +380,35 @@ def rule_ptr_key_order(ctx: FileCtx) -> None:
 
 
 def rule_unstable_sort(ctx: FileCtx) -> None:
-    for i, line in enumerate(ctx.code, 1):
-        if _UNSTABLE_SORT.search(line):
-            ctx.check(i, "unstable-sort",
-                      "std::sort leaves equal elements in unspecified"
-                      " order; use std::stable_sort, or justify that the"
-                      " comparator is a total order over the inputs")
+    _line_rule(ctx, _UNSTABLE_SORT, "unstable-sort",
+               "std::sort leaves equal elements in unspecified"
+               " order; use std::stable_sort, or justify that the"
+               " comparator is a total order over the inputs")
 
 
 def rule_wallclock(ctx: FileCtx) -> None:
-    for i, line in enumerate(ctx.code, 1):
-        if _WALLCLOCK.search(line):
-            ctx.check(i, "wallclock",
-                      "wall-clock read in a strict module: time must not"
-                      " influence contracted outputs")
+    _line_rule(ctx, _WALLCLOCK, "wallclock",
+               "wall-clock read in a strict module: time must not"
+               " influence contracted outputs")
 
 
 def rule_thread_id(ctx: FileCtx) -> None:
-    for i, line in enumerate(ctx.code, 1):
-        if _THREAD_ID.search(line):
-            ctx.check(i, "thread-id",
-                      "thread id in a strict module: ids vary per run and"
-                      " per worker count")
+    _line_rule(ctx, _THREAD_ID, "thread-id",
+               "thread id in a strict module: ids vary per run and"
+               " per worker count")
 
 
 def rule_env_read(ctx: FileCtx) -> None:
-    for i, line in enumerate(ctx.code, 1):
-        if _ENV_READ.search(line):
-            ctx.check(i, "env-read",
-                      "environment read in a strict module: contracted"
-                      " outputs must be functions of explicit inputs")
+    _line_rule(ctx, _ENV_READ, "env-read",
+               "environment read in a strict module: contracted"
+               " outputs must be functions of explicit inputs")
 
 
 def rule_shared_float_accum(ctx: FileCtx) -> None:
-    for i, line in enumerate(ctx.code, 1):
-        if _FLOAT_ATOMIC.search(line):
-            ctx.check(i, "shared-float-accum",
-                      "atomic floating-point accumulator: FP addition is"
-                      " not associative, so completion order changes the"
-                      " rounding; use parallel::deterministic_sum")
+    _line_rule(ctx, _FLOAT_ATOMIC, "shared-float-accum",
+               "atomic floating-point accumulator: FP addition is"
+               " not associative, so completion order changes the"
+               " rounding; use parallel::deterministic_sum")
 
 
 # -- nondet-taint: per-TU approximate call graph ---------------------------
@@ -410,7 +512,9 @@ def rule_nondet_taint(ctx: FileCtx) -> None:
 # ---------------------------------------------------------------------------
 
 GLOBAL_RULES = [rule_naked_new, rule_float_eq, rule_unseeded_rng,
-                rule_mutex_unguarded]
+                rule_mutex_unguarded, rule_fastmath, rule_sqrt_domain,
+                rule_narrow_cast, rule_rawclock, rule_raw_mutex,
+                rule_raw_serialize, rule_cv_wait_pred]
 STRICT_ONLY_RULES = [rule_unordered_iter, rule_ptr_key_order,
                      rule_unstable_sort, rule_wallclock, rule_thread_id,
                      rule_env_read, rule_shared_float_accum,

@@ -6,9 +6,12 @@
 # silently rot is worse than none (the same philosophy as the mutation
 # self-test behind OCTGB_TEST_CORRUPT: prove the detector detects).
 #
-# The four awk-era fixtures (naked-new, float-eq, unseeded-rng,
-# mutex-unguarded) are carried over verbatim from scripts/lint.sh's
-# original selftest as a parity check on the port.
+# The "parity:" fixtures of the global rules (naked-new, float-eq,
+# unseeded-rng, mutex-unguarded and the path-scoped fastmath,
+# sqrt-domain, narrow-cast, rawclock, raw-mutex, raw-serialize and
+# cv-wait-pred) carry the seeds of the retired awk layer's selftest
+# verbatim: each rule fires on its seed, stays silent outside its path
+# scope or in its exempt files, and honors legacy lint:allow markers.
 
 from __future__ import annotations
 
@@ -34,6 +37,33 @@ class Case:
     silent: list[str] = dataclasses.field(default_factory=list)
     # companion header contents for the sibling-header TU approximation
     header: str | None = None
+
+
+# Seeds shared by several path-scoped cases below.
+_FASTMATH_SEED = """#include <cmath>
+double pair(double q, double f2) { return q / std::sqrt(f2); }
+double decay(double x) { return std::exp(-x); }
+"""
+_SQRT_DOMAIN_SEED = """#include <cmath>
+double sixth_root(double eps) { return std::pow(1.0 + eps, 1.0 / 6.0); }
+double gap(double a, double b) { return std::sqrt(a - b); }
+"""
+_NARROW_CAST_SEED = """#include <cmath>
+int bin(double r) { return static_cast<int>(std::log(r) * 1.4427); }
+"""
+_RAWCLOCK_SEED = """#include <chrono>
+long ticks() {
+  return std::chrono::steady_clock::now().time_since_epoch().count();
+}
+"""
+_RAW_MUTEX_SEED = """#include <mutex>
+void touch(std::mutex& mu) { std::lock_guard<std::mutex> g(mu); }
+"""
+_STRUCT_DUMP_SEED = """#include <cstring>
+struct Hdr { unsigned magic; unsigned len; };
+void dump(char* out, const Hdr& h) { std::memcpy(out, &h, sizeof h); }
+const Hdr* peek(const char* in) { return reinterpret_cast<const Hdr*>(in); }
+"""
 
 
 def _contracts() -> contracts_mod.Contracts:
@@ -188,7 +218,8 @@ long stamp() {
   return std::chrono::steady_clock::now().time_since_epoch().count();
 }
 """,
-         fires=["wallclock"]),
+         # rawclock is the global rule over the same read.
+         fires=["wallclock", "rawclock"]),
     Case("wallclock silent in the sanctioned clock shim",
          "src/det/clock.h",
          """#include <chrono>
@@ -196,7 +227,9 @@ inline long stamp() {
   return std::chrono::steady_clock::now().time_since_epoch().count();
 }
 """,
-         fires=[], silent=["wallclock"]),
+         # The sanction covers the strict rule only; rawclock's one
+         # exempt shim is src/load/clock.h.
+         fires=["rawclock"], silent=["wallclock"]),
 
     # ---- thread-id / env-read / shared-float-accum ----------------------
     Case("thread-id fires in a strict module",
@@ -264,8 +297,9 @@ static long stamp_ns() {
 static long jittered(long base) { return base + stamp_ns() % 3; }
 long schedule(long base) { return jittered(base); }
 """,
-         # stamp_ns: direct wallclock; jittered + schedule: tainted.
-         fires=["wallclock", "nondet-taint", "nondet-taint"]),
+         # stamp_ns: direct wallclock (and rawclock); jittered +
+         # schedule: tainted.
+         fires=["wallclock", "rawclock", "nondet-taint", "nondet-taint"]),
     Case("nondet-taint silent when the source is justified-allowed",
          "src/det/taint_allowed.cpp",
          """#include <thread>
@@ -294,7 +328,7 @@ void order(std::vector<int>& v) {
 """,
          fires=["bare-allow", "unstable-sort"]),
 
-    # ---- ported awk rules: parity fixtures from scripts/lint.sh ---------
+    # ---- global rules: parity fixtures (retired awk selftest seeds) ----
     Case("parity: naked-new fires (awk selftest fixture)",
          "src/loose/naked_new.cpp",
          """int* leak() { return new int(3); }
@@ -320,7 +354,7 @@ class Queue {
   int depth_ = 0;
 };
 """,
-         fires=["mutex-unguarded"]),
+         fires=["mutex-unguarded", "raw-mutex"]),
     Case("parity: clean + legacy lint:allow markers pass (awk fixture)",
          "src/loose/clean.cpp",
          """// Mentions of new, delete, rand() and 1.0 == in comments are fine.
@@ -343,7 +377,113 @@ int ticket() {
   return 0;
 }
 """,
-         fires=[], silent=["mutex-unguarded"]),
+         # raw-mutex still flags both raw std::mutex declarations.
+         fires=["raw-mutex", "raw-mutex"], silent=["mutex-unguarded"]),
+
+    # ---- path-scoped global rules: parity fixtures (same seeds) --------
+    Case("parity: fastmath fires in src/gb/ (awk selftest fixture)",
+         "src/gb/fastmath.cpp", _FASTMATH_SEED,
+         fires=["fastmath", "fastmath"]),
+    Case("parity: fastmath silent outside src/gb/",
+         "elsewhere.cpp", _FASTMATH_SEED, fires=[], silent=["fastmath"]),
+    Case("parity: fastmath honors legacy lint:allow markers",
+         "src/gb/fastmath_allowed.cpp",
+         """#include <cmath>
+// lint:allow(fastmath) reference kernel, must match libm
+double pair(double q, double f2) { return q / std::sqrt(f2); }
+double decay(double x) { return std::exp(-x); }  // lint:allow(fastmath) setup
+""",
+         fires=[], silent=["fastmath"]),
+    Case("parity: sqrt-domain fires in src/gb/ (awk selftest fixture)",
+         "src/gb/sqrt_domain.cpp", _SQRT_DOMAIN_SEED,
+         fires=["sqrt-domain", "sqrt-domain"]),
+    Case("parity: narrow-cast fires in src/gb/ (awk selftest fixture)",
+         "src/gb/narrow_cast.cpp", _NARROW_CAST_SEED, fires=["narrow-cast"]),
+    Case("parity: sqrt-domain/narrow-cast silent outside src/gb/",
+         "sqrt_domain.cpp", _SQRT_DOMAIN_SEED + _NARROW_CAST_SEED,
+         fires=[], silent=["sqrt-domain", "narrow-cast"]),
+    Case("parity: rounded casts and legacy markers pass in src/gb/",
+         "src/gb/gb_clean.cpp",
+         """#include <cmath>
+// Rounded casts, positive-argument sqrt and allow-marked sites pass.
+int bins(double x) { return static_cast<int>(std::ceil(std::log(x))); }
+double dist(double d2) { return std::sqrt(d2); }
+// lint:allow(sqrt-domain) selftest: domain established by caller
+double k6(double eps) { return std::pow(1.0 + eps, 1.0 / 6.0); }
+// lint:allow(narrow-cast) selftest: truncation is the rule
+int bin_floor(double r) { return static_cast<int>(std::log(r) * 1.4); }
+""",
+         fires=[], silent=["sqrt-domain", "narrow-cast", "fastmath"]),
+    Case("parity: rawclock fires (awk selftest fixture)",
+         "rawclock.cpp", _RAWCLOCK_SEED, fires=["rawclock"]),
+    *[Case(f"parity: rawclock silent in exempt {path}", path,
+           _RAWCLOCK_SEED, fires=[], silent=["rawclock"])
+      for path in ("src/telemetry/clock.cpp", "bench/clock.cpp",
+                   "src/load/clock.h")],
+    Case("parity: rawclock still fires elsewhere in src/load/",
+         "src/load/driver.cpp", _RAWCLOCK_SEED, fires=["rawclock"]),
+    Case("parity: rawclock honors legacy lint:allow (awk clean fixture)",
+         "clean.cpp",
+         """// Mentions of steady_clock::now() in comments are fine.
+#include <memory>
+const char* kMsg = "steady_clock::now()";  // strings are fine too
+// lint:allow(rawclock) deadline-wait test case
+long deadline() { return std::chrono::steady_clock::now().time_since_epoch().count(); }
+""",
+         fires=[], silent=["rawclock"]),
+    Case("parity: raw-mutex fires (awk selftest fixture)",
+         "raw_mutex.cpp", _RAW_MUTEX_SEED, fires=["raw-mutex"]),
+    *[Case(f"parity: raw-mutex silent in exempt {path}", path,
+           _RAW_MUTEX_SEED, fires=[], silent=["raw-mutex"])
+      for path in ("src/util/thread_annotations.h",
+                   "src/analysis/sched/sched_case.cpp",
+                   "src/analysis/lockgraph/lg_case.cpp")],
+    Case("parity: raw-mutex honors legacy lint:allow markers",
+         "raw_mutex_allowed.cpp",
+         """#include <mutex>
+// lint:allow(raw-mutex) selftest: justification goes here
+void touch(std::mutex& mu) { std::lock_guard<std::mutex> g(mu); }
+""",
+         fires=[], silent=["raw-mutex"]),
+    *[Case(f"parity: raw-serialize fires in {path} (awk selftest fixture)",
+           path, _STRUCT_DUMP_SEED, fires=["raw-serialize", "raw-serialize"])
+      for path in ("src/cluster/struct_dump.cpp",
+                   "src/serve/struct_dump.cpp")],
+    *[Case(f"parity: raw-serialize silent in {path}", path,
+           _STRUCT_DUMP_SEED, fires=[], silent=["raw-serialize"])
+      for path in ("src/cluster/codec.cpp", "src/baselines/pack.cpp")],
+    Case("parity: raw-serialize honors legacy lint:allow markers",
+         "src/cluster/marked.cpp",
+         """#include <cstring>
+struct Hdr { unsigned magic; unsigned len; };
+// lint:allow(raw-serialize) selftest: justification goes here
+void dump(char* out, const Hdr& h) { std::memcpy(out, &h, sizeof h); }
+""",
+         fires=[], silent=["raw-serialize"]),
+    Case("parity: cv-wait-pred fires (awk selftest fixture)",
+         "src/analysis/sched/naked_wait.cpp",
+         """#include <condition_variable>
+#include <mutex>
+void park(std::condition_variable& cv, std::unique_lock<std::mutex>& lk) {
+  cv.wait(lk);
+}
+""",
+         fires=["cv-wait-pred"]),
+    Case("parity: cv-wait-pred silent on predicate loops and legacy markers",
+         "src/analysis/sched/guarded_wait.cpp",
+         """#include <condition_variable>
+#include <mutex>
+void park(std::condition_variable& cv, std::unique_lock<std::mutex>& lk,
+          bool& ready) {
+  while (!ready) cv.wait(lk);
+  while (!ready)
+    cv.wait(lk);
+  // lint:allow(cv-wait-pred) selftest: predicate re-checked by caller
+  cv.wait(lk);
+  cv.wait(lk, [&] { return ready; });
+}
+""",
+         fires=[], silent=["cv-wait-pred"]),
 
     # ---- lexer immunity --------------------------------------------------
     Case("raw strings and block comments cannot trip rules",

@@ -1,13 +1,18 @@
 #!/usr/bin/env bash
 # lint.sh -- the project lint gate (stage 3 of scripts/ci.sh).
 #
-# Four layers:
-#   1. scripts/detlint (python3, stdlib only): the determinism-contract
-#      analyzer. Runs the four rules that used to live in the awk layer
-#      (naked-new, mutex-unguarded, float-eq, unseeded-rng) with a real
-#      comment/string-aware lexer, plus the strict-contract rule set
-#      (unordered-iter, shared-float-accum, nondet-taint, ...) scoped
-#      by scripts/detlint/contracts.txt. See DESIGN.md section 17.
+# Three layers:
+#   1. scripts/detlint (python3, stdlib only): the one rule engine. It
+#      runs every project rule with a comment/string-aware lexer: the
+#      global hygiene rules (naked-new, float-eq, unseeded-rng,
+#      mutex-unguarded; fastmath, sqrt-domain and narrow-cast in
+#      src/gb/; rawclock, raw-mutex, raw-serialize and cv-wait-pred with
+#      their path scopes and exempt files) plus the strict-contract rule
+#      set (unordered-iter, shared-float-accum, nondet-taint, ...) scoped
+#      by scripts/detlint/contracts.txt. Each rule is documented at the
+#      top of scripts/detlint/rules.py; see DESIGN.md section 17.
+#      Intentional exceptions carry `lint:allow(<rule>)` (global rules)
+#      or `detlint:allow(<rule>): <why>` plus a justification.
 #   2. TU coverage: every src/**/*.cpp must appear in
 #      build/compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS is ON
 #      unconditionally). A TU built by no target is a TU no compiler,
@@ -15,82 +20,21 @@
 #      never a silent skip.
 #   3. clang-tidy over src/ with the repo's .clang-tidy config
 #      (bugprone-*, concurrency-*, performance-*, curated modernize
-#      subset). Skipped gracefully when clang-tidy is not installed --
-#      this container bakes only the GCC toolchain. (The TU coverage
-#      check above runs either way: it is toolchain-independent.)
-#   4. Custom project rules (always run; portable awk + grep):
-#        fastmath         (src/gb/ only) no raw std::exp( or
-#                         / std::sqrt in kernel code; per-pair math
-#                         goes through the ExactMath/ApproxMath
-#                         policies (util/fastmath.h)
-#        sqrt-domain      (src/gb/ only) std::pow( and std::sqrt( over
-#                         a subtraction need a justification naming
-#                         where the operand's domain is established
-#        narrow-cast      (src/gb/ only) no narrowing integer cast
-#                         applied directly to floating-point math; use
-#                         an explicit rounding function or justify the
-#                         truncation
-#        rawclock         no raw std::chrono::*_clock::now() outside
-#                         src/telemetry/ and bench/; timing goes
-#                         through util::WallTimer or the span recorder
-#        raw-mutex        no raw std:: locking primitives (mutex,
-#                         condition_variable, lock_guard, unique_lock,
-#                         ...) outside the thread_annotations.h
-#                         interposition layer and the analysis runtimes
-#                         src/analysis/{sched,lockgraph}/; everything
-#                         else locks through util::Mutex / util::CondVar
-#                         so the lock-order witness and the schedule
-#                         explorer see every acquisition
-#        raw-serialize    (src/cluster/ and src/serve/ only) no memcpy
-#                         or reinterpret_cast struct dumping outside
-#                         the codec translation unit
-#                         src/cluster/codec.cpp; wire bytes go through
-#                         the versioned frame Writer/Reader so typed
-#                         rejection stays airtight
-#        cv-wait-pred     a bare cv.wait(lock) must sit in a predicate
-#                         loop (while on the same or previous line) or
-#                         carry lint:allow(cv-wait-pred) naming the
-#                         enclosing retry loop
-#      Intentional exceptions carry `lint:allow(<rule>)` plus a
-#      justification comment on the offending line.
+#      subset). Skipped gracefully when clang-tidy is not installed.
+#      (The TU coverage check above runs either way: it is
+#      toolchain-independent.)
 #
 # Usage:
 #   scripts/lint.sh              lint src/ (exit 1 on any violation)
 #   scripts/lint.sh --selftest   prove each rule fires on a seeded
 #                                violation and stays quiet on clean code
+#                                (python3 scripts/detlint --selftest)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-AWK_RULES="scripts/lint_rules.awk"
 fail=0
 
 # ---------------------------------------------------------------- helpers
-
-# Line-based rules (naked-new, float-eq, unseeded-rng) over the given
-# files; prints diagnostics, returns nonzero if any fired.
-run_line_rules() {
-  local out
-  out=$(awk -f "$AWK_RULES" "$@")
-  if [[ -n "$out" ]]; then
-    printf '%s\n' "$out"
-    return 1
-  fi
-}
-
-# mutex-unguarded moved to scripts/detlint in PR 10 (run_mutex_rule's
-# bash/sed implementation retired with it); the awk layer below carries
-# only the unported rules.
-
-# Full custom-rule scan of a directory tree.
-scan_tree() {
-  local root="$1" rc=0 f
-  local files=()
-  while IFS= read -r f; do files+=("$f"); done \
-    < <(find "$root" -name '*.h' -o -name '*.cpp' | sort)
-  [[ ${#files[@]} -eq 0 ]] && return 0
-  run_line_rules "${files[@]}" || rc=1
-  return "$rc"
-}
 
 # Every src TU must be visible to the build (and thus to clang-tidy and
 # any compile_commands consumer). Generates the tier-1 configure if the
@@ -118,290 +62,18 @@ print(f"lint: compile_commands coverage ok "
 EOF
 }
 
-# --------------------------------------------------------------- selftest
-
-selftest() {
-  local dir rc=0
-  dir=$(mktemp -d)
-  trap 'rm -rf "$dir"' RETURN
-
-  # The four ported rules (naked-new, mutex-unguarded, float-eq,
-  # unseeded-rng) selftest inside the analyzer that now owns them --
-  # with parity fixtures matching the seeds this selftest used to
-  # carry. Run that first so a regression in the ported rules still
-  # fails `lint.sh --selftest`.
-  if python3 scripts/detlint --selftest >/dev/null 2>&1; then
-    echo "selftest ok: detlint selftest (ported-rule parity fixtures) passes"
-  else
-    echo "selftest FAIL: python3 scripts/detlint --selftest failed"
-    python3 scripts/detlint --selftest || true
-    rc=1
-  fi
-
-  # fastmath is scoped to src/gb/, so its seeded violation must live
-  # under a src/gb/ subtree of the case dir.
-  local gbtmp="$dir/gbcase"
-  mkdir -p "$gbtmp/src/gb"
-  cat > "$gbtmp/src/gb/fastmath.cpp" <<'EOF'
-#include <cmath>
-double pair(double q, double f2) { return q / std::sqrt(f2); }
-double decay(double x) { return std::exp(-x); }
-EOF
-  if scan_tree "$gbtmp" >/dev/null 2>&1; then
-    echo "selftest FAIL: seeded fastmath violation in src/gb/ was not caught"
-    rc=1
-  else
-    echo "selftest ok: fastmath fires on src/gb/fastmath.cpp"
-  fi
-
-  # sqrt-domain and narrow-cast are src/gb/-scoped like fastmath: each
-  # seeded violation must fire there, the rounding-function form and
-  # the same code outside src/gb/ must stay quiet.
-  local domtmp="$dir/domcase"
-  mkdir -p "$domtmp/src/gb"
-  cat > "$domtmp/src/gb/sqrt_domain.cpp" <<'EOF'
-#include <cmath>
-double sixth_root(double eps) { return std::pow(1.0 + eps, 1.0 / 6.0); }
-double gap(double a, double b) { return std::sqrt(a - b); }
-EOF
-  if scan_tree "$domtmp" >/dev/null 2>&1; then
-    echo "selftest FAIL: seeded sqrt-domain violation in src/gb/ was not caught"
-    rc=1
-  else
-    echo "selftest ok: sqrt-domain fires on src/gb/sqrt_domain.cpp"
-  fi
-  local casttmp="$dir/castcase"
-  mkdir -p "$casttmp/src/gb"
-  cat > "$casttmp/src/gb/narrow_cast.cpp" <<'EOF'
-#include <cmath>
-int bin(double r) { return static_cast<int>(std::log(r) * 1.4427); }
-EOF
-  if scan_tree "$casttmp" >/dev/null 2>&1; then
-    echo "selftest FAIL: seeded narrow-cast violation in src/gb/ was not caught"
-    rc=1
-  else
-    echo "selftest ok: narrow-cast fires on src/gb/narrow_cast.cpp"
-  fi
-  local gbclean="$dir/gbclean"
-  mkdir -p "$gbclean/src/gb"
-  cat > "$gbclean/src/gb/gb_clean.cpp" <<'EOF'
-#include <cmath>
-// Rounded casts, positive-argument sqrt and allow-marked sites pass.
-int bins(double x) { return static_cast<int>(std::ceil(std::log(x))); }
-double dist(double d2) { return std::sqrt(d2); }
-// lint:allow(sqrt-domain) selftest: domain established by caller
-double k6(double eps) { return std::pow(1.0 + eps, 1.0 / 6.0); }
-// lint:allow(narrow-cast) selftest: truncation is the rule
-int bin_floor(double r) { return static_cast<int>(std::log(r) * 1.4); }
-EOF
-  if scan_tree "$gbclean" >/dev/null 2>&1; then
-    echo "selftest ok: sqrt-domain/narrow-cast stay quiet on clean gb code"
-  else
-    echo "selftest FAIL: clean src/gb/ code flagged"
-    scan_tree "$gbclean" || true
-    rc=1
-  fi
-  local domexempt="$dir/domexempt"
-  mkdir -p "$domexempt"
-  cp "$domtmp/src/gb/sqrt_domain.cpp" "$casttmp/src/gb/narrow_cast.cpp" \
-    "$domexempt/"
-  if scan_tree "$domexempt" >/dev/null 2>&1; then
-    echo "selftest ok: sqrt-domain/narrow-cast stay quiet outside src/gb/"
-  else
-    echo "selftest FAIL: sqrt-domain or narrow-cast fired outside src/gb/"
-    rc=1
-  fi
-  # The same code outside src/gb/ must NOT trip the rule.
-  local othertmp="$dir/othercase"
-  mkdir -p "$othertmp"
-  cp "$gbtmp/src/gb/fastmath.cpp" "$othertmp/elsewhere.cpp"
-  if scan_tree "$othertmp" >/dev/null 2>&1; then
-    echo "selftest ok: fastmath stays quiet outside src/gb/"
-  else
-    echo "selftest FAIL: fastmath fired outside src/gb/"
-    rc=1
-  fi
-
-  # rawclock is scoped to everything EXCEPT src/telemetry/ and bench/:
-  # the seeded violation lives at the case-dir root, and the same code
-  # under src/telemetry/ or bench/ must stay quiet.
-  local clocktmp="$dir/clockcase"
-  mkdir -p "$clocktmp"
-  cat > "$clocktmp/rawclock.cpp" <<'EOF'
-#include <chrono>
-long ticks() {
-  return std::chrono::steady_clock::now().time_since_epoch().count();
-}
-EOF
-  if scan_tree "$clocktmp" >/dev/null 2>&1; then
-    echo "selftest FAIL: seeded rawclock violation was not caught"
-    rc=1
-  else
-    echo "selftest ok: rawclock fires on rawclock.cpp"
-  fi
-  local clockexempt="$dir/clockexempt"
-  mkdir -p "$clockexempt/src/telemetry" "$clockexempt/bench"
-  cp "$clocktmp/rawclock.cpp" "$clockexempt/src/telemetry/clock.cpp"
-  cp "$clocktmp/rawclock.cpp" "$clockexempt/bench/clock.cpp"
-  if scan_tree "$clockexempt" >/dev/null 2>&1; then
-    echo "selftest ok: rawclock stays quiet under src/telemetry/ and bench/"
-  else
-    echo "selftest FAIL: rawclock fired inside src/telemetry/ or bench/"
-    rc=1
-  fi
-
-  # raw-mutex is path-exempt like rawclock: the seeded violation at the
-  # case-dir root must fire; the same code under the interposition
-  # header or an analysis runtime must stay quiet.
-  local mxtmp="$dir/mxcase"
-  mkdir -p "$mxtmp"
-  cat > "$mxtmp/raw_mutex.cpp" <<'EOF'
-#include <mutex>
-void touch(std::mutex& mu) { std::lock_guard<std::mutex> g(mu); }
-EOF
-  if scan_tree "$mxtmp" >/dev/null 2>&1; then
-    echo "selftest FAIL: seeded raw-mutex violation was not caught"
-    rc=1
-  else
-    echo "selftest ok: raw-mutex fires on raw_mutex.cpp"
-  fi
-  local mxexempt="$dir/mxexempt"
-  mkdir -p "$mxexempt/src/util" "$mxexempt/src/analysis/sched" \
-    "$mxexempt/src/analysis/lockgraph"
-  cp "$mxtmp/raw_mutex.cpp" "$mxexempt/src/util/thread_annotations.h"
-  cp "$mxtmp/raw_mutex.cpp" "$mxexempt/src/analysis/sched/sched_case.cpp"
-  cp "$mxtmp/raw_mutex.cpp" "$mxexempt/src/analysis/lockgraph/lg_case.cpp"
-  if scan_tree "$mxexempt" >/dev/null 2>&1; then
-    echo "selftest ok: raw-mutex stays quiet in interposition/analysis paths"
-  else
-    echo "selftest FAIL: raw-mutex fired inside an exempt path"
-    rc=1
-  fi
-
-  # raw-serialize is scoped to src/cluster/ + src/serve/ minus the
-  # codec translation unit: the seeded struct dump must fire in both
-  # serving subsystems, stay quiet when the identical code is the codec
-  # .cpp itself, and stay quiet outside the serving layers entirely.
-  local sertmp="$dir/sercase"
-  mkdir -p "$sertmp/src/cluster" "$sertmp/src/serve"
-  cat > "$sertmp/src/cluster/struct_dump.cpp" <<'EOF'
-#include <cstring>
-struct Hdr { unsigned magic; unsigned len; };
-void dump(char* out, const Hdr& h) { std::memcpy(out, &h, sizeof h); }
-const Hdr* peek(const char* in) { return reinterpret_cast<const Hdr*>(in); }
-EOF
-  cp "$sertmp/src/cluster/struct_dump.cpp" "$sertmp/src/serve/struct_dump.cpp"
-  if scan_tree "$sertmp" >/dev/null 2>&1; then
-    echo "selftest FAIL: seeded raw-serialize violation was not caught"
-    rc=1
-  else
-    echo "selftest ok: raw-serialize fires on src/{cluster,serve} struct dumps"
-  fi
-  local serexempt="$dir/serexempt"
-  mkdir -p "$serexempt/src/cluster" "$serexempt/src/baselines"
-  cp "$sertmp/src/cluster/struct_dump.cpp" "$serexempt/src/cluster/codec.cpp"
-  cp "$sertmp/src/cluster/struct_dump.cpp" "$serexempt/src/baselines/pack.cpp"
-  if scan_tree "$serexempt" >/dev/null 2>&1; then
-    echo "selftest ok: raw-serialize stays quiet in codec.cpp and outside serving layers"
-  else
-    echo "selftest FAIL: raw-serialize fired in an exempt path"
-    rc=1
-  fi
-  local serallow="$dir/serallow"
-  mkdir -p "$serallow/src/cluster"
-  cat > "$serallow/src/cluster/marked.cpp" <<'EOF'
-#include <cstring>
-struct Hdr { unsigned magic; unsigned len; };
-// lint:allow(raw-serialize) selftest: justification goes here
-void dump(char* out, const Hdr& h) { std::memcpy(out, &h, sizeof h); }
-EOF
-  if scan_tree "$serallow" >/dev/null 2>&1; then
-    echo "selftest ok: raw-serialize honors lint:allow markers"
-  else
-    echo "selftest FAIL: allow-marked raw-serialize site flagged"
-    rc=1
-  fi
-
-  # cv-wait-pred: the seed lives under src/analysis/sched/ so raw-mutex
-  # stays quiet there and a scan failure can only come from the wait
-  # rule itself (which has no path exemption).
-  local cvtmp="$dir/cvcase"
-  mkdir -p "$cvtmp/src/analysis/sched"
-  cat > "$cvtmp/src/analysis/sched/naked_wait.cpp" <<'EOF'
-#include <condition_variable>
-#include <mutex>
-void park(std::condition_variable& cv, std::unique_lock<std::mutex>& lk) {
-  cv.wait(lk);
-}
-EOF
-  if scan_tree "$cvtmp" >/dev/null 2>&1; then
-    echo "selftest FAIL: seeded cv-wait-pred violation was not caught"
-    rc=1
-  else
-    echo "selftest ok: cv-wait-pred fires on naked_wait.cpp"
-  fi
-  local cvclean="$dir/cvclean"
-  mkdir -p "$cvclean/src/analysis/sched"
-  cat > "$cvclean/src/analysis/sched/guarded_wait.cpp" <<'EOF'
-#include <condition_variable>
-#include <mutex>
-void park(std::condition_variable& cv, std::unique_lock<std::mutex>& lk,
-          bool& ready) {
-  while (!ready) cv.wait(lk);
-  while (!ready)
-    cv.wait(lk);
-  // lint:allow(cv-wait-pred) selftest: predicate re-checked by caller
-  cv.wait(lk);
-  cv.wait(lk, [&] { return ready; });
-}
-EOF
-  if scan_tree "$cvclean" >/dev/null 2>&1; then
-    echo "selftest ok: cv-wait-pred stays quiet on predicate loops"
-  else
-    echo "selftest FAIL: predicate-looped or allow-marked wait flagged"
-    rc=1
-  fi
-
-  # Clean + allow-marked code: the scan must PASS. (The ported rules'
-  # clean fixture, including legacy lint:allow markers for them, lives
-  # in the detlint selftest now.)
-  local clean="$dir/clean"
-  mkdir "$clean"
-  cat > "$clean/clean.cpp" <<'EOF'
-// Mentions of steady_clock::now() in comments are fine.
-#include <memory>
-#include "thread_annotations_stub.h"
-const char* kMsg = "steady_clock::now()";  // strings are fine too
-// lint:allow(rawclock) deadline-wait test case
-long deadline() { return std::chrono::steady_clock::now().time_since_epoch().count(); }
-EOF
-  if scan_tree "$clean" >/dev/null 2>&1; then
-    echo "selftest ok: clean + allow-marked code passes"
-  else
-    echo "selftest FAIL: clean code flagged"
-    scan_tree "$clean" || true
-    rc=1
-  fi
-  return "$rc"
-}
-
 # ------------------------------------------------------------------- main
 
 if [[ "${1:-}" == "--selftest" ]]; then
-  if selftest; then
+  if python3 scripts/detlint --selftest; then
     echo "lint selftest OK"
     exit 0
   fi
   exit 1
 fi
 
-echo "==> lint: detlint (determinism contracts + ported rules)"
+echo "==> lint: detlint (project rules + determinism contracts)"
 if ! python3 scripts/detlint src; then
-  fail=1
-fi
-
-echo "==> lint: custom project rules over src/ (awk layer)"
-if ! scan_tree src; then
   fail=1
 fi
 
@@ -422,7 +94,7 @@ if command -v clang-tidy >/dev/null 2>&1; then
     fail=1
   fi
 else
-  echo "==> lint: clang-tidy not installed; skipping (custom rules still enforced)"
+  echo "==> lint: clang-tidy not installed; skipping (detlint rules still enforced)"
 fi
 
 if [[ "$fail" -ne 0 ]]; then

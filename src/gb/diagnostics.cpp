@@ -4,56 +4,35 @@
 #include <cmath>
 #include <vector>
 
+#include "src/gb/interaction_lists.h"
+#include "src/geom/vec3.h"
+
 namespace octgb::gb {
 
 namespace {
 
-double far_factor(const ApproxParams& params, bool born) {
-  if (born && params.strict_born_criterion) {
-    // lint:allow(sqrt-domain) eps > 0 enforced by born_far_factor2
-    const double k = std::pow(1.0 + params.eps_born, 1.0 / 6.0);
-    return (k + 1.0) / (k - 1.0);
+// Folds one phase's near and far lists into `stats`. `target_node` maps
+// a list's target field to its node in `targets`. Every far item has
+// d > s, since the plan accepts it only beyond (r_U + r_V) * f, f > 1.
+template <typename TargetNode>
+void count_lists(const std::vector<NodePair>& near,
+                 const std::vector<NodePair>& far,
+                 const octree::Octree& targets,
+                 const octree::Octree& sources, TargetNode&& target_node,
+                 TraversalStats& stats) {
+  stats.exact_blocks = near.size();
+  for (const NodePair& p : near) {
+    stats.exact_pairs += targets.node(target_node(p)).count() *
+                         sources.node(p.source).count();
   }
-  const double eps = born ? params.eps_born : params.eps_epol;
-  return 1.0 + 2.0 / eps;
-}
-
-// Walks one target-leaf-vs-tree traversal, counting partition outcomes.
-void walk(const octree::Octree& tree, const octree::Node& target,
-          double factor, bool leaf_first, TraversalStats& stats) {
-  const double factor2 = factor * factor;
-  std::vector<std::uint32_t> stack{tree.root_index()};
-  while (!stack.empty()) {
-    const std::uint32_t idx = stack.back();
-    stack.pop_back();
-    const octree::Node& node = tree.node(idx);
-    const double s = node.radius + target.radius;
-    const double d2 = geom::distance2(node.center, target.center);
-    // E_pol checks LEAF(U) before the far test (Figure 3); the Born
-    // traversal checks far first (Figure 2).
-    const bool is_far = d2 > s * s * factor2 && d2 > 0.0;
-    if (leaf_first && node.leaf) {
-      ++stats.exact_blocks;
-      stats.exact_pairs += node.count() * target.count();
-      continue;
-    }
-    if (is_far) {
-      ++stats.far_boxes;
-      const double d = std::sqrt(d2);
-      if (d > s) {
-        stats.max_kernel_spread =
-            std::max(stats.max_kernel_spread, (d + s) / (d - s));
-      }
-      continue;
-    }
-    if (node.leaf) {
-      ++stats.exact_blocks;
-      stats.exact_pairs += node.count() * target.count();
-      continue;
-    }
-    for (const auto child : node.children) {
-      if (child != octree::Node::kInvalid) stack.push_back(child);
-    }
+  stats.far_boxes = far.size();
+  for (const NodePair& p : far) {
+    const octree::Node& t = targets.node(target_node(p));
+    const octree::Node& u = sources.node(p.source);
+    const double s = t.radius + u.radius;
+    const double d = std::sqrt(geom::distance2(t.center, u.center));
+    stats.max_kernel_spread =
+        std::max(stats.max_kernel_spread, (d + s) / (d - s));
   }
 }
 
@@ -65,11 +44,10 @@ TraversalStats born_traversal_stats(const BornOctrees& trees,
   if (trees.atoms.empty() || trees.qpoints.empty()) return stats;
   stats.naive_pairs =
       trees.atoms.num_points() * trees.qpoints.num_points();
-  const double factor = far_factor(params, /*born=*/true);
-  for (const auto qleaf : trees.qpoints.leaves()) {
-    walk(trees.atoms, trees.qpoints.node(qleaf), factor,
-         /*leaf_first=*/false, stats);
-  }
+  const InteractionPlan plan = build_interaction_plan(
+      trees.atoms, trees.qpoints, params, PlanScope::born_only());
+  count_lists(plan.born_near, plan.born_far, trees.atoms, trees.qpoints,
+              [](const NodePair& p) { return p.target; }, stats);
   return stats;
 }
 
@@ -78,11 +56,11 @@ TraversalStats epol_traversal_stats(const octree::Octree& atoms_tree,
   TraversalStats stats;
   if (atoms_tree.empty()) return stats;
   stats.naive_pairs = atoms_tree.num_points() * atoms_tree.num_points();
-  const double factor = far_factor(params, /*born=*/false);
-  for (const auto vleaf : atoms_tree.leaves()) {
-    walk(atoms_tree, atoms_tree.node(vleaf), factor, /*leaf_first=*/true,
-         stats);
-  }
+  const InteractionPlan plan = build_interaction_plan(
+      atoms_tree, atoms_tree, params, PlanScope::epol_only());
+  const auto leaves = atoms_tree.leaves();
+  count_lists(plan.epol_near, plan.epol_far, atoms_tree, atoms_tree,
+              [&](const NodePair& p) { return leaves[p.target]; }, stats);
   return stats;
 }
 

@@ -4,8 +4,10 @@
 //   T_comp = O( (1/eps^3) (M/(P p) + log M) )      per phase,
 // driven by how the far-field criterion partitions node pairs into
 // *pruned* far boxes and *exact* near blocks. This module instruments
-// that partition without touching the hot kernels: it re-runs the
-// traversal control flow only (no kernel math) and reports
+// that partition without touching the hot kernels: it builds the
+// interaction plan over the trees (the traversal, no kernel math) and
+// counts its lists, so the numbers describe exactly the work the plan
+// executor runs:
 //
 //   * far deposits / exact blocks / exact pair-interactions counted,
 //   * the pruning ratio (exact pairs vs the naive M*m or M^2 total),
@@ -43,11 +45,14 @@ struct TraversalStats {
 };
 
 /// Statistics of the Born-radius traversal (APPROX-INTEGRALS) for the
-/// given trees and parameters. Pure analysis: no accumulators touched.
+/// given trees and parameters: the Born lists of the plan. Pure
+/// analysis: no accumulators touched. Throws std::invalid_argument for
+/// a non-positive eps_born, as the plan builder does.
 TraversalStats born_traversal_stats(const BornOctrees& trees,
                                     const ApproxParams& params);
 
-/// Statistics of the E_pol leaf-vs-tree traversal.
+/// Statistics of the E_pol leaf-vs-tree traversal: the E_pol lists of
+/// the plan. Throws std::invalid_argument for a non-positive eps_epol.
 TraversalStats epol_traversal_stats(const octree::Octree& atoms_tree,
                                     const ApproxParams& params);
 

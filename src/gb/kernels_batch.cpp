@@ -6,7 +6,6 @@
 #include "src/gb/kernel_primitives.h"
 #include "src/gb/kernels_batch_simd.h"
 #include "src/telemetry/telemetry.h"
-#include "src/util/env.h"
 #include "src/util/fastmath.h"
 
 namespace octgb::gb {
@@ -215,10 +214,6 @@ bool simd_available() {
   return ok;
 }
 
-bool simd_enabled() {
-  return simd_available() && !util::env_flag("OCTGB_NO_SIMD");
-}
-
 BornSoA build_born_soa(const BornInputs& in) {
   BornSoA soa;
   const auto a_index = in.atoms.point_index();
@@ -391,7 +386,7 @@ void execute_born_plan(const BornInputs& in, const InteractionPlan& plan,
                 "plan/tree built over different molecule or surface");
   // The SIMD rows implement the r^6 kernel only.
   const bool use_simd = kernel == BornKernel::kSurfaceR6 &&
-                        mode == SimdMode::kAuto && simd_enabled();
+                        mode == SimdMode::kAuto && simd_available();
 #if defined(OCTGB_TELEMETRY_ENABLED)
   OCTGB_COUNTER_ADD("gb.born_near_pairs", plan.born_near.size());
   OCTGB_COUNTER_ADD("gb.born_far_pairs", plan.born_far.size());
@@ -468,7 +463,7 @@ double execute_epol_plan(const octree::Octree& tree,
   // the per-leaf sums in plan order at any worker count.
   std::vector<double> near_acc(leaves.size(), 0.0);
   std::vector<double> far_acc(leaves.size(), 0.0);
-  const bool use_simd = mode == SimdMode::kAuto && simd_enabled();
+  const bool use_simd = mode == SimdMode::kAuto && simd_available();
 #if defined(OCTGB_TELEMETRY_ENABLED)
   OCTGB_COUNTER_ADD("gb.epol_near_pairs", plan.epol_near.size());
   OCTGB_COUNTER_ADD("gb.epol_far_pairs", plan.epol_far.size());

@@ -22,8 +22,8 @@
 //
 // Engine selection is runtime: the AVX2 code is compiled into its own
 // TU with -mavx2 -mfma (CMake option OCTGB_SIMD, default ON) and only
-// entered when the CPU reports AVX2+FMA and OCTGB_NO_SIMD is not set.
-// SimdMode::kForceScalar pins the scalar engine regardless.
+// entered when the CPU reports AVX2+FMA. SimdMode::kForceScalar pins
+// the scalar engine regardless.
 //
 // Pooled execution: plan lists are target-major and every chunk owns
 // whole targets, so each accumulator has one writer and takes plain
@@ -49,19 +49,16 @@ namespace octgb::gb {
 
 /// Engine choice for the plan executors.
 enum class SimdMode {
-  kAuto,         // SIMD when compiled in, CPU-supported and not disabled
+  kAuto,         // SIMD when compiled in and CPU-supported
   kForceScalar,  // the scalar engine, whatever the build and CPU
 };
 
 /// True when the library was built with the AVX2 TU (OCTGB_SIMD=ON).
 bool simd_compiled();
 
-/// True when simd_compiled() and this CPU reports AVX2 and FMA.
+/// True when simd_compiled() and this CPU reports AVX2 and FMA: what
+/// SimdMode::kAuto resolves to.
 bool simd_available();
-
-/// What kAuto resolves to right now: simd_available() and the
-/// OCTGB_NO_SIMD environment flag is not set.
-bool simd_enabled();
 
 /// The operands of one Born phase: the atoms whose integrals accumulate
 /// and the q-point surface they integrate over, each with its octree.
@@ -102,8 +99,9 @@ EpolSoA build_epol_soa(const octree::Octree& tree,
                        const molecule::Molecule& mol,
                        std::span<const double> born_radii);
 
-// Row kernels (exposed for bench/micro_kernels). `use_simd` falls back
-// to the scalar loop when the AVX2 engine is unavailable.
+// Row kernels (exposed for the tests, which check the SIMD rows against
+// the scalar loop). `use_simd` falls back to the scalar loop when the
+// AVX2 engine is unavailable.
 
 /// Born r^6 row: sum over q-points [qb, qe) of the SoA against one atom
 /// at (x, y, z). The scalar path evaluates born_term<6>.

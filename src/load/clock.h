@@ -9,7 +9,7 @@
 // trace generated once (src/load/traffic.h) drives either executor.
 //
 // This is the only file in src/load allowed to touch a raw chrono
-// clock (see scripts/lint_rules.awk `rawclock`): everything else in
+// clock (see the detlint rule `rawclock`): everything else in
 // the subsystem is clock-agnostic by construction, which is exactly
 // what makes the simulator deterministic.
 #pragma once

@@ -408,6 +408,43 @@ TEST(OctreeRekeyRefitTest, RekeyRefitEnergyMatchesRebuildThroughGb) {
               1e-9 * std::abs(rebuilt_energy));
 }
 
+TEST(OctreeRekeyRefitTest, InLeafDriftNeverEscapesOrRebuilds) {
+  // A spatially clustered 5% of the points (whole leaves in Morton
+  // order) each move a quarter of the way to their leaf's center: a
+  // convex move inside the leaf cell, so every recomputed key stays in
+  // range. Alternating drifted <-> base positions must take the
+  // resort-free path every time.
+  const auto base = random_points(30000, 59);
+  Octree tree{std::span<const geom::Vec3>(base)};
+  std::vector<geom::Vec3> drifted = base;
+  std::size_t num_drifted = 0;
+  for (const std::uint32_t leaf_id : tree.leaves()) {
+    if (num_drifted * 20 >= base.size()) break;
+    const Node& leaf = tree.node(leaf_id);
+    for (std::uint32_t i = leaf.begin; i < leaf.end; ++i) {
+      const std::uint32_t idx = tree.point_index()[i];
+      drifted[idx] += (leaf.center - drifted[idx]) * 0.25;
+      ++num_drifted;
+    }
+  }
+  // A one-point leaf's point is its center and does not move.
+  std::size_t num_moved = 0;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    if (!(drifted[i] == base[i])) ++num_moved;
+  }
+  ASSERT_GT(num_moved, num_drifted / 2);
+  tree.refit_rekey(base);  // take the snapshot
+  for (int round = 0; round < 4; ++round) {
+    const auto& pts = round % 2 == 0 ? drifted : base;
+    const RefitResult rr = tree.refit_rekey(pts);
+    SCOPED_TRACE(testing::Message() << "round=" << round);
+    EXPECT_EQ(rr.dirty_points, num_moved);
+    EXPECT_EQ(rr.escaped_keys, 0u);
+    EXPECT_FALSE(rr.rebuilt);
+    EXPECT_TRUE(tree.strict_morton());
+  }
+}
+
 TEST(OctreeRekeyRefitTest, ParallelRefitMatchesSerialRefit) {
   OctreeParams params;
   params.parallel_grain = 1;

@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "src/gb/diagnostics.h"
+#include "src/gb/interaction_lists.h"
 #include "src/molecule/generators.h"
+#include "src/parallel/pool.h"
 #include "src/runtime/drivers.h"
 #include "src/runtime/partition.h"
 #include "src/surface/quadrature.h"
@@ -149,6 +151,43 @@ TEST(DiagnosticsTest, CountsArePlausibleAndCriterionRespected) {
   const auto epol = gb::epol_traversal_stats(trees.atoms, params);
   EXPECT_LE(epol.max_kernel_spread, 1.0 + params.eps_epol + 1e-9);
   EXPECT_LE(epol.exact_pairs, epol.naive_pairs);
+}
+
+TEST(DiagnosticsTest, CountsMatchThePlan) {
+  // The statistics describe the plan the executor runs: a full pooled
+  // plan over both phases has the same list sizes and point products.
+  const auto mol = molecule::generate_protein(6000, 165);
+  const auto surf = surface::build_surface(mol);
+  const auto trees = gb::build_born_octrees(mol, surf);
+  gb::ApproxParams params;
+  parallel::WorkStealingPool pool(2);
+  const auto plan = gb::build_interaction_plan(trees, params, &pool);
+  const auto count = [](const octree::Octree& t, std::uint32_t id) {
+    return t.node(id).count();
+  };
+
+  const auto born = gb::born_traversal_stats(trees, params);
+  std::size_t born_pairs = 0;
+  for (const auto& p : plan.born_near) {
+    born_pairs +=
+        count(trees.atoms, p.target) * count(trees.qpoints, p.source);
+  }
+  EXPECT_EQ(born.far_boxes, plan.born_far.size());
+  EXPECT_EQ(born.exact_blocks, plan.born_near.size());
+  EXPECT_EQ(born.exact_pairs, born_pairs);
+
+  const auto epol = gb::epol_traversal_stats(trees.atoms, params);
+  const auto leaves = trees.atoms.leaves();
+  std::size_t epol_pairs = 0;
+  for (const auto& p : plan.epol_near) {
+    epol_pairs += count(trees.atoms, leaves[p.target]) *
+                  count(trees.atoms, p.source);
+  }
+  EXPECT_EQ(epol.far_boxes, plan.epol_far.size());
+  EXPECT_EQ(epol.exact_blocks, plan.epol_near.size());
+  EXPECT_EQ(epol.exact_pairs, epol_pairs);
+  EXPECT_GT(epol.far_boxes, 0u);
+  EXPECT_LE(epol.max_kernel_spread, 1.0 + params.eps_epol + 1e-9);
 }
 
 TEST(DiagnosticsTest, PruningGrowsWithEps) {
